@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bloomier"
 	"repro/internal/faultinject"
 	"repro/internal/layout"
 )
@@ -228,5 +229,28 @@ func TestChaosStaticMapBuildRetry(t *testing.T) {
 		if v := sm.Lookup(k); v != uint64(i) {
 			t.Fatal("retried static map lookup wrong")
 		}
+	}
+}
+
+// Chaos scenario: duplicate static-map keys stop the build after its
+// first attempt, and the retry policy does not re-run it — the
+// failpoint counts exactly one attempt where a probabilistic failure
+// would have run 10 × (1 + BuildRetries).
+func TestChaosStaticMapDuplicateKeysNotRetried(t *testing.T) {
+	defer faultinject.Reset()
+	rt := NewRuntime(RuntimeOptions{Workers: 2, Policy: Policy{BuildRetries: 2}})
+	defer rt.Shutdown(context.Background())
+
+	keys := testRuntimeKeys(2000, 31)
+	keys[1999] = keys[5]
+	values := make([]uint64, len(keys))
+	faultinject.Arm(faultinject.BloomierAttempt, faultinject.FailFirst(0, nil))
+	defer faultinject.Disarm(faultinject.BloomierAttempt)
+
+	if _, err := rt.BuildStaticMap(context.Background(), keys, values, 3); !errors.Is(err, bloomier.ErrDuplicateKeys) {
+		t.Fatalf("BuildStaticMap(duplicate keys) = %v, want bloomier.ErrDuplicateKeys", err)
+	}
+	if got := faultinject.Hits(faultinject.BloomierAttempt); got != 1 {
+		t.Errorf("build attempts = %d, want 1", got)
 	}
 }

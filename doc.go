@@ -108,7 +108,8 @@
 // ErrStaticMapBuildFailed, never on cancellation or panics.
 // ReconcileRetries re-runs an undecodable reconciliation with the
 // difference-table headroom raised by HeadroomStep per attempt (capped
-// at MaxHeadroom), accumulating wire cost across attempts.
+// at MaxHeadroom) and an escalated seed, accumulating wire cost across
+// attempts.
 //
 // The failure paths themselves are tested by fault injection: named
 // failpoints (internal/faultinject) compiled to no-ops by default and

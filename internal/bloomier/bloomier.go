@@ -9,7 +9,9 @@
 // order, so it is solved by back-substitution without Gaussian
 // elimination. This is exactly the regime the paper analyzes — density
 // 1/1.23 ≈ 0.813 < c*(2,3) ≈ 0.818 — and the same construction
-// underlies Biff codes and XOR-based retrieval structures.
+// underlies Biff codes and XOR-based retrieval structures. The peel runs
+// on the hashed edge list itself (core.ParallelOrderEdgesCtx): no
+// incidence index is built.
 //
 // Build-time and serve-time are split by the versioned flat layout
 // (internal/layout): the builder back-substitutes straight into a
@@ -28,7 +30,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/hypergraph"
 	"repro/internal/layout"
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -50,18 +51,24 @@ type Filter struct {
 
 // ErrBuildFailed is returned when peeling leaves a non-empty 2-core on
 // every attempted seed (with distinct keys this is astronomically rare
-// at γ = 1.23; the usual cause is duplicate keys). The returned error
-// wraps it together with the final attempt's survivor count ("N edges
-// left in 2-core after attempt T"), so errors.Is(err, ErrBuildFailed)
-// works and the message says how close the last attempt came — the
-// number to look at when tuning gamma or maxTries.
+// at γ = 1.23; duplicate keys return ErrDuplicateKeys instead). The
+// returned error wraps it together with the final attempt's survivor
+// count ("N edges left in 2-core after attempt T"), so errors.Is(err,
+// ErrBuildFailed) works and the message says how close the last attempt
+// came — the number to look at when tuning gamma or maxTries.
 var ErrBuildFailed = errors.New("bloomier: construction failed on all attempts")
+
+// ErrDuplicateKeys is returned when the key set contains duplicates.
+// Two equal keys hash to identical edges, which always sit in the
+// 2-core, so only a build whose first attempt fails checks for them —
+// after one attempt, not after every seed has been tried.
+var ErrDuplicateKeys = errors.New("bloomier: duplicate keys")
 
 // Build constructs a filter mapping keys[i] → values[i]. Keys must be
 // distinct. gamma is the slot/key ratio (use DefaultGamma); maxTries
-// bounds seed retries. The whole build path — hashing, index build, the
-// ordered parallel peel, and round-parallel back-substitution — runs on
-// the process-wide default pool; use BuildWithPool to pin it to an
+// bounds seed retries. The whole build path — hashing, the ordered
+// parallel peel, and round-parallel back-substitution — runs on the
+// process-wide default pool; use BuildWithPool to pin it to an
 // explicit one. The resulting filter is identical either way and at
 // every pool size.
 //
@@ -84,13 +91,13 @@ func BuildWorkers(keys, values []uint64, gamma float64, seed uint64, maxTries, w
 }
 
 // BuildWithPool is Build with every construction phase — per-key edge
-// hashing on each retry attempt, the CSR incidence build, the peel, and
-// the back-substitution — run on an explicit worker pool. The peel is
-// the ordered round-synchronous process (core.ParallelOrder), whose
-// round-major order and minimum-endpoint orientation are bit-stable, so
-// the resulting filter is byte-identical at every pool size. All
-// per-build state is owned by the call, so many builds may run
-// concurrently on one shared pool.
+// hashing on each retry attempt, the peel, and the back-substitution —
+// run on an explicit worker pool. The peel is the ordered
+// round-synchronous process on the flat edge list
+// (core.ParallelOrderEdgesCtx), whose round-major order and
+// minimum-endpoint orientation are bit-stable, so the resulting filter
+// is byte-identical at every pool size. All per-build state is owned by
+// the call, so many builds may run concurrently on one shared pool.
 //
 //peelvet:deterministic
 func BuildWithPool(keys, values []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*Filter, error) {
@@ -141,6 +148,9 @@ func BuildCtx(ctx context.Context, keys, values []uint64, gamma float64, seed ui
 			return &Filter{im: im}, nil
 		}
 		survivors = left
+		if try == 0 && layout.HasDuplicateKeys(keys) {
+			return nil, ErrDuplicateKeys
+		}
 	}
 	return nil, fmt.Errorf("%w: %d edges left in 2-core after attempt %d", ErrBuildFailed, survivors, maxTries)
 }
@@ -174,16 +184,16 @@ func hashEdges(keys []uint64, hseed [arity]uint64, subSize int, pool *parallel.P
 // freshly allocated flat image — slots[v0] ^ slots[v1] ^ slots[v2] =
 // value for every key — and seals it; a non-empty 2-core returns (nil,
 // survivors, nil) so the retry loop can surface the count through
-// ErrBuildFailed. The peel is the ordered round-synchronous process and
-// back-substitution walks its rounds in reverse, the edges of one round
-// in parallel — sound for k = 2: within a round every peeled edge has a
-// distinct free vertex and non-free endpoints finalize strictly later
-// (see core.OrderedResult). ctx is checked at every round barrier.
+// ErrBuildFailed. The peel is the ordered round-synchronous process on
+// the hashed edge list and back-substitution walks its rounds in
+// reverse, the edges of one round in parallel — sound for k = 2: within
+// a round every peeled edge has a distinct free vertex and non-free
+// endpoints finalize strictly later (see core.OrderedResult). ctx is
+// checked at every round barrier.
 func buildAttempt(ctx context.Context, keys, values []uint64, attemptSeed uint64, hseed [arity]uint64, m, subSize int, pool *parallel.Pool) (*layout.Image, int, error) {
 	n := subSize * arity
 	edges := hashEdges(keys, hseed, subSize, pool)
-	g := hypergraph.FromEdgesWithPool(n, arity, edges, subSize, pool)
-	ord, err := core.ParallelOrderCtx(ctx, g, 2, core.Options{Pool: pool})
+	ord, err := core.ParallelOrderEdgesCtx(ctx, n, arity, edges, core.Options{Pool: pool})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -202,7 +212,7 @@ func buildAttempt(ctx context.Context, keys, values []uint64, attemptSeed uint64
 				e := int(seg[i])
 				free := ord.FreeVertex[e]
 				acc := values[e]
-				for _, u := range g.EdgeVertices(int(e)) {
+				for _, u := range edges[e*arity : e*arity+arity] {
 					if u != free {
 						acc ^= slots[u]
 					}

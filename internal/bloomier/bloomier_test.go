@@ -1,6 +1,7 @@
 package bloomier
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -59,6 +60,21 @@ func TestSmallMaps(t *testing.T) {
 func TestLengthMismatch(t *testing.T) {
 	if _, err := Build([]uint64{1, 2}, []uint64{1}, DefaultGamma, 1, 5); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+// TestDuplicateKeysRejected: duplicate keys hash to identical edges,
+// which no seed can peel, so the first failed attempt checks for them
+// and the build returns ErrDuplicateKeys instead of exhausting its
+// attempts into ErrBuildFailed.
+func TestDuplicateKeysRejected(t *testing.T) {
+	for _, n := range []int{4, 50000} {
+		keys, values := buildInputs(n, uint64(n))
+		keys[n-1] = keys[n/2]
+		_, err := Build(keys, values, DefaultGamma, 1, 10)
+		if !errors.Is(err, ErrDuplicateKeys) || errors.Is(err, ErrBuildFailed) {
+			t.Fatalf("n=%d: err = %v, want ErrDuplicateKeys", n, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 // of PeelOrder/FreeVertex before the ordered peel existed), the plain
 // round-synchronous Parallel peel (no ordering artifacts), and
 // ParallelOrder at several pool sizes — the number the builders' retry
-// loops now pay per attempt.
+// loops now pay per attempt — against the CSR ordered peel it replaced
+// at k = 2 (OrderedCSR, which excludes the CSR build itself).
 func BenchmarkOrderedPeel(b *testing.B) {
 	g := hypergraph.Uniform(1<<19, 390000, 3, rng.New(1)) // c ≈ 0.74 < c*(2,3)
 	b.Run("Sequential", func(b *testing.B) {
@@ -37,6 +39,13 @@ func BenchmarkOrderedPeel(b *testing.B) {
 		b.Run(fmt.Sprintf("Ordered/W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if res := ParallelOrder(g, 2, opts); !res.Empty() {
+					b.Fatal("peel failed")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("OrderedCSR/W=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if res, _ := parallelOrderCSR(context.Background(), g, 2, opts); !res.Empty() {
 					b.Fatal("peel failed")
 				}
 			}

@@ -64,24 +64,24 @@ func (r *OrderedResult) RoundSegment(t int) []uint32 {
 // and additionally produces the peel order and edge orientation that
 // Sequential used to be the only (serial) source of — the artifacts the
 // MPHF and Bloomier builders consume. See OrderedResult for the
-// determinism and elimination-order contracts.
+// determinism and elimination-order contracts: when several endpoints
+// of an edge peel in the same round, the minimum vertex id frees it, so
+// the orientation is identical at every worker count, and the Result
+// fields (rounds, history, core) are identical to Parallel's.
 //
-// Phase B runs as two sub-phases per round. First every peel-set vertex
-// claims its live edges with an atomic min on the FreeVertex slot, so
-// when several endpoints of an edge peel in the same round the minimum
-// vertex id wins regardless of scheduling — the step that makes the
-// orientation deterministic where Parallel's first-come bitset claim is
-// not. Then each edge's unique winner settles it: marks it dead, tags
-// its round, and decrements the other endpoints' degrees. (Rounds that
-// would run inline anyway — 1-worker pools and grain-sized tail rounds —
-// use a merged single pass instead; see the round loop.) PeelOrder is
-// reconstructed after the last round with a counting sort over the
-// round tags, which yields every segment already sorted by edge id —
-// the same determinism trick as the stable parallel counting sort in
-// internal/hypergraph, at O(m) instead of per-round sorting. The claim
-// pass costs one more traversal of the peel set per round than
-// Parallel; the Result fields (rounds, history, core) are identical to
-// Parallel's.
+// For k = 2 — every application in this repository — the peel runs on
+// g.Edges alone through ParallelOrderEdgesCtx, which never reads the
+// CSR index; opts.Scan is then ignored (the result does not depend on
+// it). For k >= 3 a vertex can keep several live edges and the peel
+// walks the CSR incidence lists: Phase B runs as two sub-phases per
+// round. First every peel-set vertex claims its live edges with an
+// atomic min on the FreeVertex slot; then each edge's unique winner
+// settles it: marks it dead, tags its round, and decrements the other
+// endpoints' degrees. (Rounds that would run inline anyway — 1-worker
+// pools and grain-sized tail rounds — use a merged single pass
+// instead.) PeelOrder is reconstructed after the last round with a
+// counting sort over the round tags, which yields every segment
+// already sorted by edge id — O(m) instead of per-round sorting.
 func ParallelOrder(g *hypergraph.Hypergraph, k int, opts Options) *OrderedResult {
 	res, _ := ParallelOrderCtx(context.Background(), g, k, opts)
 	return res
@@ -94,6 +94,18 @@ func ParallelOrder(g *hypergraph.Hypergraph, k int, opts Options) *OrderedResult
 //
 //peelvet:deterministic
 func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options) (*OrderedResult, error) {
+	if k == 2 {
+		return ParallelOrderEdgesCtx(ctx, g.N, g.R, g.Edges, opts)
+	}
+	return parallelOrderCSR(ctx, g, k, opts)
+}
+
+// parallelOrderCSR is the incidence-list ordered peel behind
+// ParallelOrderCtx for k >= 3. It computes the same result as
+// ParallelOrderEdgesCtx at k = 2, which the package tests check.
+//
+//peelvet:deterministic
+func parallelOrderCSR(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options) (*OrderedResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -223,15 +235,21 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 		loop.advance()
 	}
 
-	// Reconstruct the round-major order from the round tags with a
-	// counting sort over rounds: RoundStart is the prefix sum of the
-	// per-round histogram, and scattering edges in ascending id order
-	// leaves every round's segment already sorted — no per-round sort
-	// and no order shards in the round loop, the same stable-counting-
-	// sort trick as the CSR build in internal/hypergraph.
+	res.sortPeelOrder()
+	s.finish(&res.Result)
+	return res, nil
+}
+
+// sortPeelOrder reconstructs the round-major order from the round tags
+// with a counting sort over rounds: RoundStart is the prefix sum of the
+// per-round histogram, and scattering edges in ascending id order
+// leaves every round's segment already sorted — no per-round sort and
+// no order shards in the round loop, the same stable-counting-sort
+// trick as the CSR build in internal/hypergraph.
+func (res *OrderedResult) sortPeelOrder() {
 	counts := make([]int, res.Rounds+1)
-	for e := 0; e < g.M; e++ {
-		if t := res.RoundOf[e]; t > 0 {
+	for _, t := range res.RoundOf {
+		if t > 0 {
 			counts[t]++
 		}
 	}
@@ -241,14 +259,12 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 	}
 	cursors := append([]int(nil), res.RoundStart[:res.Rounds+1]...)
 	res.PeelOrder = make([]uint32, res.RoundStart[res.Rounds])
-	for e := 0; e < g.M; e++ {
-		if t := res.RoundOf[e]; t > 0 {
+	for e, t := range res.RoundOf {
+		if t > 0 {
 			res.PeelOrder[cursors[t-1]] = uint32(e)
 			cursors[t-1]++
 		}
 	}
-	s.finish(&res.Result)
-	return res, nil
 }
 
 // claimMin lowers *addr to v if v is smaller, atomically — the

@@ -43,6 +43,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"repro/internal/rng"
@@ -128,6 +129,22 @@ func VertexTriple(hseed [Arity]uint64, subSize int, x uint64) [Arity]uint32 {
 		vs[j] = uint32(j*subSize) + uint32((h>>32)*uint64(subSize)>>32)
 	}
 	return vs
+}
+
+// HasDuplicateKeys reports whether keys holds a repeated key, which no
+// image kind can be built from. Builders call it only after a failed
+// peel: duplicate keys map to identical vertex triples, and identical
+// edges always sit in the 2-core, so an empty core already proves the
+// keys distinct and a successful build never pays for the sort.
+func HasDuplicateKeys(keys []uint64) bool {
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return true
+		}
+	}
+	return false
 }
 
 // Vertices returns the total vertex count n = 3·SubSize.

@@ -21,8 +21,8 @@ import (
 // path. Like the real builder it writes its arrays straight into a
 // flat layout image.
 func buildSerialPeel(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
-	if err := checkDistinct(keys); err != nil { // Build pays this too
-		return nil, err
+	if layout.HasDuplicateKeys(keys) {
+		return nil, ErrDuplicateKeys
 	}
 	m := len(keys)
 	subSize := int(gamma*float64(m))/arity + 1
@@ -146,7 +146,8 @@ func TestBuildFailedReportsSurvivors(t *testing.T) {
 // serial-peel construction against the ordered-peel build at several
 // pool sizes (pools hoisted out of the timed loop). The fixed seed
 // peels on the first attempt in every variant, so all variants time
-// exactly one hash + index + peel + assign pipeline per op.
+// exactly one hash + peel + assign pipeline per op (SerialPeel also
+// builds the CSR index its queue peel walks).
 func BenchmarkBuildMPHF(b *testing.B) {
 	keys := randomKeys(1<<17, 1)
 	b.Run("SerialPeel", func(b *testing.B) {

@@ -5,7 +5,8 @@
 // values are assigned in reverse peel order so that every key selects a
 // distinct vertex. Construction succeeds on the first try w.h.p. because
 // the edge density 1/γ = 1/1.23 ≈ 0.813 sits below the paper's threshold
-// c*(2,3) ≈ 0.818.
+// c*(2,3) ≈ 0.818. The peel runs on the hashed edge list itself
+// (core.ParallelOrderEdgesCtx): no incidence index is built.
 //
 // Build-time and serve-time are split by the versioned flat layout
 // (internal/layout): the builder writes its g values, used bitmap, and
@@ -20,12 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/hypergraph"
 	"repro/internal/layout"
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -50,25 +49,27 @@ type MPHF struct {
 }
 
 // ErrBuildFailed is returned when every seed attempt left a non-empty
-// 2-core, which for distinct keys at γ ≥ 1.23 is astronomically unlikely;
-// the usual cause is duplicate keys. The returned error wraps it
-// together with the final attempt's survivor count ("N edges left in
-// 2-core after attempt T"), so errors.Is(err, ErrBuildFailed) works and
-// the message says how close the last attempt came — the number to look
-// at when tuning gamma or maxTries.
+// 2-core, which for distinct keys at γ ≥ 1.23 is astronomically
+// unlikely (duplicate keys return ErrDuplicateKeys instead). The
+// returned error wraps it together with the final attempt's survivor
+// count ("N edges left in 2-core after attempt T"), so errors.Is(err,
+// ErrBuildFailed) works and the message says how close the last attempt
+// came — the number to look at when tuning gamma or maxTries.
 var ErrBuildFailed = errors.New("mphf: construction failed on all attempts")
 
 // ErrDuplicateKeys is returned when the key set contains duplicates.
+// Two equal keys hash to identical edges, which always sit in the
+// 2-core, so only a build whose first attempt fails checks for them.
 var ErrDuplicateKeys = errors.New("mphf: duplicate keys")
 
 // Build constructs an MPHF for the distinct keys using the given
 // vertex/key ratio gamma (use DefaultGamma) and an initial seed; it
 // retries with derived seeds up to maxTries times (10 is plenty).
-// The whole build path — hashing, index build, the ordered parallel
-// peel, and the round-parallel g-value assignment — runs on the
-// process-wide default pool; use BuildWithPool to pin it to an explicit
-// one. The resulting function is identical either way and at every pool
-// size (the ordered peel is bit-stable across worker counts).
+// The whole build path — hashing, the ordered parallel peel, and the
+// round-parallel g-value assignment — runs on the process-wide default
+// pool; use BuildWithPool to pin it to an explicit one. The resulting
+// function is identical either way and at every pool size (the ordered
+// peel is bit-stable across worker counts).
 //
 //peelvet:deterministic
 func Build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
@@ -91,16 +92,17 @@ func BuildWorkers(keys []uint64, gamma float64, seed uint64, maxTries, workers i
 }
 
 // BuildWithPool is Build with every construction phase — per-key edge
-// hashing on each retry attempt, the CSR incidence build, the peel, and
-// the g-value assignment — run on an explicit worker pool. The peel is
-// the ordered round-synchronous process (core.ParallelOrder), whose
-// round-major order and minimum-endpoint orientation are bit-stable, so
-// the resulting function is identical at every pool size; the
-// assignment processes the peel rounds in reverse with full parallelism
-// inside each round (sound for k = 2: within a round every peeled edge
-// has a distinct free vertex and non-free endpoints finalize strictly
-// later). All per-build state is owned by the call, so many builds may
-// run concurrently on one shared pool.
+// hashing on each retry attempt, the peel, and the g-value assignment —
+// run on an explicit worker pool. The peel is the ordered
+// round-synchronous process on the flat edge list
+// (core.ParallelOrderEdgesCtx), whose round-major order and
+// minimum-endpoint orientation are bit-stable, so the resulting
+// function is identical at every pool size; the assignment processes
+// the peel rounds in reverse with full parallelism inside each round
+// (sound for k = 2: within a round every peeled edge has a distinct
+// free vertex and non-free endpoints finalize strictly later). All
+// per-build state is owned by the call, so many builds may run
+// concurrently on one shared pool.
 //
 //peelvet:deterministic
 func BuildWithPool(keys []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*MPHF, error) {
@@ -109,9 +111,9 @@ func BuildWithPool(keys []uint64, gamma float64, seed uint64, maxTries int, pool
 
 // BuildCtx is BuildWithPool with cooperative cancellation, checked at
 // every round barrier of every attempt's peel and assignment sweep (and
-// at the phase barriers between hashing, CSR build, peel, and
-// assignment) — a canceled build stops within one round of extra work,
-// not one phase. On cancellation it returns (nil, ctx.Err()).
+// at the phase barriers between hashing, peel, and assignment) — a
+// canceled build stops within one round of extra work, not one phase.
+// On cancellation it returns (nil, ctx.Err()).
 //
 //peelvet:deterministic
 func BuildCtx(ctx context.Context, keys []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*MPHF, error) {
@@ -120,9 +122,6 @@ func BuildCtx(ctx context.Context, keys []uint64, gamma float64, seed uint64, ma
 	}
 	if maxTries <= 0 {
 		maxTries = 10
-	}
-	if err := checkDistinct(keys); err != nil {
-		return nil, err
 	}
 	m := len(keys)
 	subSize := int(gamma*float64(m))/arity + 1
@@ -152,6 +151,9 @@ func BuildCtx(ctx context.Context, keys []uint64, gamma float64, seed uint64, ma
 			return &MPHF{im: im}, nil
 		}
 		survivors = left
+		if try == 0 && layout.HasDuplicateKeys(keys) {
+			return nil, ErrDuplicateKeys
+		}
 	}
 	return nil, fmt.Errorf("%w: %d edges left in 2-core after attempt %d", ErrBuildFailed, survivors, maxTries)
 }
@@ -166,26 +168,15 @@ func attemptSeeds(seed uint64, try int) (attemptSeed uint64, hseed [arity]uint64
 	return
 }
 
-func checkDistinct(keys []uint64) error {
-	sorted := append([]uint64(nil), keys...)
-	slices.Sort(sorted) // ~4× the reflection-based sort.Slice on uint64s
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return ErrDuplicateKeys
-		}
-	}
-	return nil
-}
-
 // buildAttempt peels the key hypergraph for one seed attempt and, on an
 // empty 2-core, writes the g values, used bitmap, and rank directory
 // into a freshly allocated flat image and seals it; a non-empty 2-core
 // returns (nil, survivors, nil) so the retry loop can surface the count
 // through ErrBuildFailed. Every phase runs on the pool: edge hashing
-// and the CSR build fan out chunk-wise (each key's vertices depend only
-// on the key and the attempt seeds, so parallel hashing is
-// deterministic), the peel is the ordered round-synchronous process,
-// and the g-value assignment walks the peel rounds in reverse with full
+// fans out chunk-wise (each key's vertices depend only on the key and
+// the attempt seeds, so parallel hashing is deterministic), the peel is
+// the ordered round-synchronous process on the hashed edge list, and
+// the g-value assignment walks the peel rounds in reverse with full
 // parallelism inside each round. ctx is checked at every round barrier.
 func buildAttempt(ctx context.Context, keys []uint64, attemptSeed uint64, hseed [arity]uint64, m, subSize int, pool *parallel.Pool) (*layout.Image, int, error) {
 	n := subSize * arity
@@ -198,8 +189,7 @@ func buildAttempt(ctx context.Context, keys []uint64, attemptSeed uint64, hseed 
 	}); err != nil {
 		return nil, 0, err
 	}
-	g := hypergraph.FromEdgesWithPool(n, arity, edges, subSize, pool)
-	ord, err := core.ParallelOrderCtx(ctx, g, 2, core.Options{Pool: pool})
+	ord, err := core.ParallelOrderEdgesCtx(ctx, n, arity, edges, core.Options{Pool: pool})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -227,7 +217,7 @@ func buildAttempt(ctx context.Context, keys []uint64, attemptSeed uint64, hseed 
 			for i := lo; i < hi; i++ {
 				e := int(seg[i])
 				free := ord.FreeVertex[e]
-				vs := g.EdgeVertices(e)
+				vs := edges[e*arity : e*arity+arity]
 				sum := 0
 				p := -1
 				for pos, u := range vs {

@@ -70,6 +70,13 @@ func TestDuplicateKeysRejected(t *testing.T) {
 	if _, err := Build(keys, DefaultGamma, 1, 5); !errors.Is(err, ErrDuplicateKeys) {
 		t.Fatalf("expected ErrDuplicateKeys, got %v", err)
 	}
+	// At a realistic size a single duplicate still leaves its two
+	// identical edges in the 2-core, which is what triggers the check.
+	keys = randomKeys(50000, 3)
+	keys[40000] = keys[7]
+	if _, err := Build(keys, DefaultGamma, 1, 5); !errors.Is(err, ErrDuplicateKeys) {
+		t.Fatalf("one duplicate in 50000 keys: expected ErrDuplicateKeys, got %v", err)
+	}
 }
 
 func TestGammaTooSmall(t *testing.T) {

@@ -131,6 +131,14 @@ func TestClientRoundTrips(t *testing.T) {
 		image = img
 	})
 
+	t.Run("duplicate mphf keys are BAD_REQUEST", func(t *testing.T) {
+		keys := keysOf(2000, 6)
+		keys[1500] = keys[3]
+		if _, err := cl.BuildMPHF(ctx, keys, 11); !errors.Is(err, server.ErrBadRequest) {
+			t.Fatalf("BuildMPHF(duplicate keys): %v, want ErrBadRequest", err)
+		}
+	})
+
 	t.Run("swap image rejects corruption", func(t *testing.T) {
 		bad := append([]byte(nil), image...)
 		bad[len(bad)/2] ^= 0xff

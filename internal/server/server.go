@@ -499,7 +499,8 @@ func classify(err error) (Code, string) {
 		errors.Is(err, mphf.ErrBuildFailed),
 		errors.Is(err, bloomier.ErrBuildFailed):
 		return CodeFailed, err.Error()
-	case errors.Is(err, mphf.ErrDuplicateKeys):
+	case errors.Is(err, mphf.ErrDuplicateKeys),
+		errors.Is(err, bloomier.ErrDuplicateKeys):
 		return CodeBadRequest, err.Error()
 	default:
 		return CodeInternal, err.Error()

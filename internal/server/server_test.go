@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/bloomier"
 	"repro/internal/iblt"
+	"repro/internal/mphf"
 	"repro/internal/rng"
 )
 
@@ -290,6 +293,13 @@ func TestConnDeathCancelsHandlers(t *testing.T) {
 func TestDrainSendsGoAwayAndAnswersShuttingDown(t *testing.T) {
 	srv, addr := startServer(t, Options{Workers: 2, MaxJobs: 2})
 	nc := dialRaw(t, addr)
+	// One round trip first: dialRaw returns once the kernel has queued
+	// the connection, and a Shutdown that beats the accept loop to it
+	// refuses it at the door (GOAWAY, then close) instead of serving it.
+	nc.Write(appendFrame(nil, OpLookup, 1, EncodeLookupReq(0, []uint64{1})))
+	if _, id, _ := readReply(t, nc); id != 1 {
+		t.Fatalf("warm-up reply id=%d, want 1", id)
+	}
 
 	// Hold the runtime open so Shutdown must actually drain.
 	release := make(chan struct{})
@@ -343,5 +353,27 @@ func TestDrainSendsGoAwayAndAnswersShuttingDown(t *testing.T) {
 	}
 	if err := srv.Shutdown(context.Background()); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("second Shutdown: %v, want ErrServerClosed", err)
+	}
+}
+
+// TestClassifyBuildErrors pins the wire codes of the builders' errors:
+// duplicate keys are the caller's fault (BAD_REQUEST, never retried by
+// a client), while a key set that peels to a non-empty 2-core on every
+// seed is a probabilistic FAILED. The static-map builder has no wire op
+// of its own, so its errors are checked here, at the mapping.
+func TestClassifyBuildErrors(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want Code
+	}{
+		{mphf.ErrDuplicateKeys, CodeBadRequest},
+		{bloomier.ErrDuplicateKeys, CodeBadRequest},
+		{fmt.Errorf("wrapped: %w", bloomier.ErrDuplicateKeys), CodeBadRequest},
+		{mphf.ErrBuildFailed, CodeFailed},
+		{bloomier.ErrBuildFailed, CodeFailed},
+	} {
+		if got, _ := classify(tc.err); got != tc.want {
+			t.Errorf("classify(%v) = %v, want %v", tc.err, got, tc.want)
+		}
 	}
 }

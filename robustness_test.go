@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bloomier"
 	"repro/internal/layout"
 	"repro/internal/parallel"
 )
@@ -374,5 +375,57 @@ func TestWriteFileToSwapImage(t *testing.T) {
 	}
 	if !bytes.Equal(data, f.Bytes()) {
 		t.Error("persisted image differs from built image")
+	}
+}
+
+// stoppingSet returns a local side of two keys, against an empty remote
+// side, whose difference table under seed never decodes: the two keys
+// share all three cells. Two keys make a tiny estimate, so the table
+// has its minimum size at any headroom up to 4, and headroom escalation
+// alone cannot break the pair.
+func stoppingSet(t *testing.T, seed uint64, headroom float64) []uint64 {
+	t.Helper()
+	keys := testRuntimeKeys(1<<17, 41)
+	for _, y := range keys[1:] {
+		local := []uint64{keys[0], y}
+		if _, _, _, err := (Policy{}).Reconcile(context.Background(), local, nil, seed, headroom, parallel.Default()); errors.Is(err, ErrReconcileIncomplete) {
+			return local
+		}
+	}
+	t.Fatal("no stopping set among the candidate keys")
+	return nil
+}
+
+// TestPolicyReconcileRetryReseeds is the regression test for retries
+// that kept the difference table's seed: a stopping set fails every
+// attempt under one seed, so with the headroom capped where it starts
+// only a fresh seed lets the retry decode.
+func TestPolicyReconcileRetryReseeds(t *testing.T) {
+	const seed, headroom = 7, 1.5
+	local := stoppingSet(t, seed, headroom)
+	p := Policy{ReconcileRetries: 2, MaxHeadroom: headroom}
+	onlyLocal, onlyRemote, meta, err := p.Reconcile(context.Background(), local, nil, seed, headroom, parallel.Default())
+	if err != nil {
+		t.Fatalf("retried reconcile of a stopping set: %v (meta %+v)", err, meta)
+	}
+	if meta.Attempts != 2 || meta.FinalHeadroom != headroom {
+		t.Fatalf("meta = %+v, want 2 attempts at headroom %v", meta, headroom)
+	}
+	if len(onlyRemote) != 0 || len(onlyLocal) != 2 ||
+		!(onlyLocal[0] == local[0] && onlyLocal[1] == local[1] || onlyLocal[0] == local[1] && onlyLocal[1] == local[0]) {
+		t.Fatalf("difference = %v / %v, want %v / []", onlyLocal, onlyRemote, local)
+	}
+}
+
+// TestPolicyStaticMapDuplicateKeys: duplicate keys fail a static-map
+// build with bloomier.ErrDuplicateKeys, not the probabilistic
+// ErrStaticMapBuildFailed, so a retrying policy returns it as-is.
+func TestPolicyStaticMapDuplicateKeys(t *testing.T) {
+	keys := testRuntimeKeys(5000, 43)
+	keys[4000] = keys[17]
+	values := make([]uint64, len(keys))
+	_, err := Policy{BuildRetries: 3}.BuildStaticMap(context.Background(), keys, values, 5, parallel.Default())
+	if !errors.Is(err, bloomier.ErrDuplicateKeys) || errors.Is(err, ErrStaticMapBuildFailed) {
+		t.Fatalf("BuildStaticMap(duplicate keys) = %v, want bloomier.ErrDuplicateKeys", err)
 	}
 }

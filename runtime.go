@@ -75,7 +75,10 @@ type Policy struct {
 	// graceful degradation for an undersized estimate instead of a
 	// terminal error. Each retry escalates the headroom by
 	// HeadroomStep (capped at MaxHeadroom), oversizing the next
-	// difference table. 0 means fail on the first incomplete decode.
+	// difference table, and re-hashes it under a jittered seed, as
+	// BuildRetries does: a stopping set (differing keys that share all
+	// their cells) survives any table size under its own seed, but not
+	// a fresh one. 0 means fail on the first incomplete decode.
 	ReconcileRetries int
 
 	// HeadroomStep is the headroom added per Reconcile retry;
@@ -128,19 +131,19 @@ type ReconcileMeta struct {
 	FinalHeadroom float64
 }
 
-// Reconcile runs the policy's headroom-escalating reconciliation loop on
-// an explicit pool, without Runtime admission — the building block for
-// callers that already hold an admitted job slot (a Runtime.Go / TryGo
-// job, e.g. the wire server in internal/server). Runtime.Reconcile is
-// this plus admission. The returned metadata carries the attempt count
-// and the accumulated wire bytes; on error the metadata still reflects
-// the attempts made. Deadlines are the caller's concern (the admission
-// wrappers apply Policy.JobTimeout).
+// Reconcile runs the policy's headroom- and seed-escalating
+// reconciliation loop on an explicit pool, without Runtime admission —
+// the building block for callers that already hold an admitted job slot
+// (a Runtime.Go / TryGo job, e.g. the wire server in internal/server).
+// Runtime.Reconcile is this plus admission. The returned metadata
+// carries the attempt count and the accumulated wire bytes; on error
+// the metadata still reflects the attempts made. Deadlines are the
+// caller's concern (the admission wrappers apply Policy.JobTimeout).
 func (p Policy) Reconcile(ctx context.Context, local, remote []uint64, seed uint64, headroom float64, pool *parallel.Pool) (onlyLocal, onlyRemote []uint64, meta ReconcileMeta, err error) {
-	h := headroom
+	h, s := headroom, seed
 	for attempt := 0; ; attempt++ {
 		var wb int
-		onlyLocal, onlyRemote, wb, err = iblt.ReconcileCtx(ctx, local, remote, seed, h, pool)
+		onlyLocal, onlyRemote, wb, err = iblt.ReconcileCtx(ctx, local, remote, s, h, pool)
 		meta.Attempts = attempt + 1
 		meta.WireBytes += wb
 		meta.FinalHeadroom = h
@@ -151,6 +154,7 @@ func (p Policy) Reconcile(ctx context.Context, local, remote []uint64, seed uint
 		if max := p.maxHeadroom(); h > max {
 			h = max
 		}
+		s = escalateSeed(seed, attempt+1)
 	}
 }
 
@@ -183,9 +187,10 @@ func (p Policy) BuildStaticMap(ctx context.Context, keys, values []uint64, seed 
 	}
 }
 
-// escalateSeed derives the jittered seed for build retry attempt
-// (1-based): a Mix64 of the original seed and the attempt index, so
-// each retry's 10-seed ladder is decorrelated from every other's.
+// escalateSeed derives the jittered seed for build or reconcile retry
+// attempt (1-based): a Mix64 of the original seed and the attempt
+// index, so each retry's 10-seed build ladder, or its difference table,
+// is decorrelated from every other's.
 func escalateSeed(seed uint64, attempt int) uint64 {
 	return rng.Mix64(seed ^ uint64(attempt)*0xd1342543de82ef95)
 }
@@ -649,12 +654,12 @@ func (rt *Runtime) Decode(ctx context.Context, t *IBLT) (*IBLTParallelResult, er
 
 // BuildMPHF builds a minimal perfect hash function over distinct keys
 // (γ = 1.23, up to 10 seed attempts) with every phase on the shared
-// pool: hashing, index build, the ordered parallel peel, and the
-// round-parallel g-value assignment. The resulting function is
-// identical at every Runtime size (the ordered peel is bit-stable
-// across worker counts). Cancellation is checked at every round barrier
-// of every attempt, so a canceled build aborts within one peel round of
-// extra work — not one phase.
+// pool: hashing, the ordered parallel peel, and the round-parallel
+// g-value assignment. The resulting function is identical at every
+// Runtime size (the ordered peel is bit-stable across worker counts).
+// Cancellation is checked at every round barrier of every attempt, so a
+// canceled build aborts within one peel round of extra work — not one
+// phase.
 //
 // Under a Policy with BuildRetries > 0, a build whose whole seed ladder
 // fails (ErrMPHFBuildFailed) is retried with a jittered escalated seed;
@@ -673,8 +678,8 @@ func (rt *Runtime) BuildMPHF(ctx context.Context, keys []uint64, seed uint64) (*
 }
 
 // BuildStaticMap builds an immutable key → value map (Bloomier filter)
-// with every phase — hashing, index build, the ordered parallel peel,
-// and round-parallel back-substitution — on the shared pool. The
+// with every phase — hashing, the ordered parallel peel, and
+// round-parallel back-substitution — on the shared pool. The
 // resulting map is byte-identical at every Runtime size (the ordered
 // peel is bit-stable across worker counts), so a map built here seals
 // the same flat image an offline builder box would produce.
@@ -704,9 +709,10 @@ func (rt *Runtime) BuildStaticMap(ctx context.Context, keys, values []uint64, se
 // Under a Policy with ReconcileRetries > 0, an incomplete decode
 // (ErrReconcileIncomplete — the difference table was undersized for the
 // true difference) is retried with the headroom escalated by
-// HeadroomStep per attempt, up to MaxHeadroom: graceful degradation —
-// some extra wire bytes — instead of a terminal error. wireBytes
-// accumulates across attempts, as a networked deployment's would.
+// HeadroomStep per attempt, up to MaxHeadroom, and a jittered seed:
+// graceful degradation — some extra wire bytes — instead of a terminal
+// error. wireBytes accumulates across attempts, as a networked
+// deployment's would.
 func (rt *Runtime) Reconcile(ctx context.Context, local, remote []uint64, seed uint64, headroom float64) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
 	onlyLocal, onlyRemote, meta, err := rt.ReconcileMeta(ctx, local, remote, seed, headroom)
 	return onlyLocal, onlyRemote, meta.WireBytes, err
