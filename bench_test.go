@@ -183,7 +183,7 @@ func BenchmarkAblationSubtableRounds(b *testing.B) {
 	})
 	b.Run("Subtables", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := PeelSubtables(g, 2)
+			res := peelSubtables(b, g, 2)
 			if !res.Empty() {
 				b.Fatal("peel failed")
 			}
@@ -252,13 +252,12 @@ func BenchmarkFrontierCollect(b *testing.B) {
 }
 
 // BenchmarkPeelWorkerCounts runs the full parallel peel below threshold
-// at several pool sizes. The pool is hoisted out of the measured loop
-// (Options.Workers inside a loop would spin up and tear down a fresh
-// pool per peel — the per-call cost core.Options.AcquirePool documents).
+// at several pool sizes. The pool is hoisted out of the measured loop,
+// so worker startup is not timed.
 func BenchmarkPeelWorkerCounts(b *testing.B) {
 	g := NewUniformHypergraph(1<<18, 180000, 4, 1) // c ~ 0.69
 	for _, workers := range []int{1, 2, 4} {
-		pool, release := core.Options{Workers: workers}.AcquirePool()
+		pool := parallel.NewPool(workers)
 		opts := core.Options{Pool: pool}
 		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -267,7 +266,7 @@ func BenchmarkPeelWorkerCounts(b *testing.B) {
 				}
 			}
 		})
-		release()
+		pool.Close()
 	}
 }
 

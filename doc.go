@@ -13,7 +13,7 @@
 // # Quick start
 //
 //	g := repro.NewUniformHypergraph(1_000_000, 700_000, 4, 42) // c = 0.7
-//	res := repro.PeelParallel(g, 2)
+//	res, _ := repro.DefaultRuntime().Peel(context.Background(), g, 2, repro.PeelOptions{})
 //	fmt.Println(res.Rounds, res.Empty()) // ≈13 rounds, empty 2-core
 //
 // The headline results:
@@ -62,9 +62,9 @@
 // per-request pools, goroutine spawns, or locks in the round loops; and
 // the claim-based barrier makes nested parallel-for submission from
 // inside a pool batch deadlock-free, so jobs may compose builders and
-// peelers freely. The pre-Runtime entry points (PeelParallel, the ...WithPool
-// variants, WorkerPool/JobGroup) remain as deprecated wrappers over the
-// package-default Runtime (DefaultRuntime) and an explicit pool.
+// peelers freely. The one-shot helpers (BuildMPHF, BuildStaticMap,
+// PeelOrdered, ReconcileSets) run on the package-default Runtime
+// (DefaultRuntime); every other operation is a Runtime method.
 //
 // The data-structure builders consume a peel order and an edge → vertex
 // orientation, produced by the ordered parallel peel (PeelOrdered /
@@ -76,7 +76,9 @@
 // finalize strictly later — so the MPHF g-value assignment and the
 // Bloomier back-substitution run round-parallel too: no serial phase
 // remains in BuildMPHF/BuildStaticMap, and a canceled build stops at
-// the next round barrier rather than the next phase. Failed builds
+// the next round barrier rather than the next phase. Both builders share
+// one peel-and-back-substitute driver (internal/layout) and differ only
+// in their hash salt and per-round kernel. Failed builds
 // report the last attempt's 2-core survivor count through
 // ErrMPHFBuildFailed / ErrStaticMapBuildFailed.
 //

@@ -60,8 +60,8 @@ func TestIntegrationSerializePeel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := PeelSubtables(g, 2)
-	b := PeelSubtables(loaded, 2)
+	a := peelSubtables(t, g, 2)
+	b := peelSubtables(t, loaded, 2)
 	if a.Subrounds != b.Subrounds || a.CoreVertices != b.CoreVertices {
 		t.Error("reloaded graph peels differently")
 	}
@@ -112,7 +112,7 @@ func TestIntegrationIBLTMatchesSubtablePeeling(t *testing.T) {
 	}
 
 	g := NewPartitionedHypergraph(cells, nKeys, 4, 557)
-	peel := PeelSubtables(g, 2)
+	peel := peelSubtables(t, g, 2)
 	if !peel.Empty() {
 		t.Fatal("matched hypergraph did not peel")
 	}

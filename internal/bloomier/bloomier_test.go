@@ -1,6 +1,7 @@
 package bloomier
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,11 +26,21 @@ func buildInputs(n int, seed uint64) (keys, values []uint64) {
 	return keys, values
 }
 
+// build is BuildCtx on the default pool with a background context.
+func build(keys, values []uint64, gamma float64, seed uint64, maxTries int) (*Filter, error) {
+	return buildOn(parallel.Default(), keys, values, gamma, seed, maxTries)
+}
+
+// buildOn is BuildCtx on pool with a background context.
+func buildOn(pool *parallel.Pool, keys, values []uint64, gamma float64, seed uint64, maxTries int) (*Filter, error) {
+	return BuildCtx(context.Background(), keys, values, gamma, seed, maxTries, pool)
+}
+
 func TestBuildAndLookup(t *testing.T) {
 	keys, values := buildInputs(50000, 1)
-	f, err := Build(keys, values, DefaultGamma, 42, 10)
+	f, err := build(keys, values, DefaultGamma, 42, 10)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildCtx: %v", err)
 	}
 	for i, k := range keys {
 		if got := f.Lookup(k); got != values[i] {
@@ -45,7 +56,7 @@ func TestBuildAndLookup(t *testing.T) {
 func TestSmallMaps(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 33} {
 		keys, values := buildInputs(n, uint64(100+n))
-		f, err := Build(keys, values, DefaultGamma, 7, 20)
+		f, err := build(keys, values, DefaultGamma, 7, 20)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -58,7 +69,7 @@ func TestSmallMaps(t *testing.T) {
 }
 
 func TestLengthMismatch(t *testing.T) {
-	if _, err := Build([]uint64{1, 2}, []uint64{1}, DefaultGamma, 1, 5); err == nil {
+	if _, err := build([]uint64{1, 2}, []uint64{1}, DefaultGamma, 1, 5); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -71,7 +82,7 @@ func TestDuplicateKeysRejected(t *testing.T) {
 	for _, n := range []int{4, 50000} {
 		keys, values := buildInputs(n, uint64(n))
 		keys[n-1] = keys[n/2]
-		_, err := Build(keys, values, DefaultGamma, 1, 10)
+		_, err := build(keys, values, DefaultGamma, 1, 10)
 		if !errors.Is(err, ErrDuplicateKeys) || errors.Is(err, ErrBuildFailed) {
 			t.Fatalf("n=%d: err = %v, want ErrDuplicateKeys", n, err)
 		}
@@ -80,7 +91,7 @@ func TestDuplicateKeysRejected(t *testing.T) {
 
 func TestGammaTooSmall(t *testing.T) {
 	keys, values := buildInputs(10, 3)
-	if _, err := Build(keys, values, 1.0, 1, 3); err == nil {
+	if _, err := build(keys, values, 1.0, 1, 3); err == nil {
 		t.Fatal("gamma 1.0 accepted")
 	}
 }
@@ -90,7 +101,7 @@ func TestZeroValuesFine(t *testing.T) {
 	// are perfectly representable here.
 	keys, _ := buildInputs(100, 4)
 	values := make([]uint64, len(keys))
-	f, err := Build(keys, values, DefaultGamma, 5, 10)
+	f, err := build(keys, values, DefaultGamma, 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +114,11 @@ func TestZeroValuesFine(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	keys, values := buildInputs(1000, 5)
-	a, err := Build(keys, values, DefaultGamma, 9, 10)
+	a, err := build(keys, values, DefaultGamma, 9, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(keys, values, DefaultGamma, 9, 10)
+	b, err := build(keys, values, DefaultGamma, 9, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +133,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw%400) + 1
 		keys, values := buildInputs(n, seed)
-		flt, err := Build(keys, values, DefaultGamma, seed^0xf00, 20)
+		flt, err := build(keys, values, DefaultGamma, seed^0xf00, 20)
 		if err != nil {
 			return false
 		}
@@ -138,33 +149,10 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	keys, values := buildInputs(30000, 7)
-	serial, err := Build(keys, values, DefaultGamma, 55, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := BuildParallel(keys, values, DefaultGamma, 55, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same seed, same constraint system: build-key lookups must agree
-	// exactly. (Foreign probes may differ — the system is
-	// underdetermined and the two peel orders complete it differently.)
-	for i, k := range keys {
-		if par.Lookup(k) != values[i] {
-			t.Fatalf("parallel build wrong value for key %d", i)
-		}
-		if par.Lookup(k) != serial.Lookup(k) {
-			t.Fatalf("parallel and serial builds disagree on key %d", i)
-		}
-	}
-}
-
 func TestBuildParallelSmall(t *testing.T) {
 	for _, n := range []int{1, 3, 10, 100} {
 		keys, values := buildInputs(n, uint64(200+n))
-		f, err := BuildParallel(keys, values, DefaultGamma, 9, 20)
+		f, err := build(keys, values, DefaultGamma, 9, 20)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -177,10 +165,10 @@ func TestBuildParallelSmall(t *testing.T) {
 }
 
 func TestBuildParallelValidation(t *testing.T) {
-	if _, err := BuildParallel([]uint64{1}, []uint64{1, 2}, DefaultGamma, 1, 5); err == nil {
+	if _, err := build([]uint64{1}, []uint64{1, 2}, DefaultGamma, 1, 5); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := BuildParallel([]uint64{1, 2}, []uint64{3, 4}, 1.0, 1, 5); err == nil {
+	if _, err := build([]uint64{1, 2}, []uint64{3, 4}, 1.0, 1, 5); err == nil {
 		t.Error("tiny gamma accepted")
 	}
 }
@@ -189,17 +177,7 @@ func BenchmarkBuild(b *testing.B) {
 	keys, values := buildInputs(1<<16, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(keys, values, DefaultGamma, uint64(i), 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildParallel(b *testing.B) {
-	keys, values := buildInputs(1<<16, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildParallel(keys, values, DefaultGamma, uint64(i), 10); err != nil {
+		if _, err := build(keys, values, DefaultGamma, uint64(i), 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +185,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 
 func BenchmarkLookup(b *testing.B) {
 	keys, values := buildInputs(1<<16, 1)
-	f, err := Build(keys, values, DefaultGamma, 1, 10)
+	f, err := build(keys, values, DefaultGamma, 1, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,56 +199,26 @@ func BenchmarkLookup(b *testing.B) {
 
 // TestBuildWithPoolMatchesDefault proves the pooled construction path
 // solves the same constraint system: build keys look up identical
-// values at any pool size (serial and parallel pipelines both).
+// values at any pool size.
 func TestBuildWithPoolMatchesDefault(t *testing.T) {
 	keys, values := buildInputs(20000, 9)
 	for _, workers := range []int{1, 3} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, values, DefaultGamma, 7, 10, pool)
+		f, err := buildOn(pool, keys, values, DefaultGamma, 7, 10)
 		if err != nil {
-			t.Fatalf("BuildWithPool(workers=%d): %v", workers, err)
-		}
-		fp, err := BuildParallelWithPool(keys, values, DefaultGamma, 7, 10, pool)
-		if err != nil {
-			t.Fatalf("BuildParallelWithPool(workers=%d): %v", workers, err)
+			t.Fatalf("BuildCtx(workers=%d): %v", workers, err)
 		}
 		for i, k := range keys {
 			if got := f.Lookup(k); got != values[i] {
 				t.Fatalf("workers=%d: Lookup(%#x) = %#x, want %#x", workers, k, got, values[i])
-			}
-			if got := fp.Lookup(k); got != values[i] {
-				t.Fatalf("workers=%d parallel: Lookup(%#x) = %#x, want %#x", workers, k, got, values[i])
 			}
 		}
 		pool.Close()
 	}
 }
 
-// TestBuildWorkersMatchesBuild checks both hoisted private-pool entry
-// points produce functions identical to their default-pool forms.
-func TestBuildWorkersMatchesBuild(t *testing.T) {
-	keys, values := buildInputs(2500, 81)
-	base, err := Build(keys, values, DefaultGamma, 7, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := BuildWorkers(keys, values, DefaultGamma, 7, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := BuildParallelWorkers(keys, values, DefaultGamma, 7, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if f.Lookup(k) != values[i] || fp.Lookup(k) != values[i] || base.Lookup(k) != values[i] {
-			t.Fatalf("lookup mismatch on key %#x", k)
-		}
-	}
-}
-
-// TestConcurrentStaticMapBuildsSharedPool runs serial-peel and
-// subround-peel builds concurrently on one shared pool.
+// TestConcurrentStaticMapBuildsSharedPool runs several static-map
+// builds concurrently on one shared pool.
 func TestConcurrentStaticMapBuildsSharedPool(t *testing.T) {
 	pool := parallel.NewPool(3)
 	defer pool.Close()
@@ -278,13 +226,7 @@ func TestConcurrentStaticMapBuildsSharedPool(t *testing.T) {
 	for j := 0; j < 6; j++ {
 		group.Go(func(p *parallel.Pool) error {
 			keys, values := buildInputs(1500+100*j, uint64(90+j))
-			var f *Filter
-			var err error
-			if j%2 == 0 {
-				f, err = BuildWithPool(keys, values, DefaultGamma, uint64(7+j), 10, p)
-			} else {
-				f, err = BuildParallelWithPool(keys, values, DefaultGamma, uint64(7+j), 10, p)
-			}
+			f, err := buildOn(p, keys, values, DefaultGamma, uint64(7+j), 10)
 			if err != nil {
 				return err
 			}

@@ -26,7 +26,7 @@ func buildSerialPeel(keys, values []uint64, gamma float64, seed uint64, maxTries
 		subSize = 2
 	}
 	for try := 0; try < maxTries; try++ {
-		attemptSeed, hseed := attemptSeeds(seed, try)
+		attemptSeed, hseed := layout.AttemptSeeds(seed, try, builder.Salt)
 		n := subSize * arity
 		edges := make([]uint32, len(keys)*arity)
 		for i, k := range keys {
@@ -70,7 +70,7 @@ func TestBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	var ref *Filter
 	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, values, DefaultGamma, 7, 10, pool)
+		f, err := buildOn(pool, keys, values, DefaultGamma, 7, 10)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -88,29 +88,18 @@ func TestBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestBuildFailedReportsSurvivors pins the diagnosable failure error on
-// both pipelines: above the threshold every attempt leaves a 2-core and
-// the error wraps ErrBuildFailed with the last attempt's survivor count.
+// TestBuildFailedReportsSurvivors pins the diagnosable failure error:
+// above the threshold every attempt leaves a 2-core and the error wraps
+// ErrBuildFailed with the last attempt's survivor count.
 func TestBuildFailedReportsSurvivors(t *testing.T) {
 	// γ = 1.12 → density 0.893 > c*(2,3) ≈ 0.818: peeling fails w.h.p.
 	keys, values := buildInputs(20000, 19)
-	for name, build := range map[string]func() error{
-		"Build": func() error {
-			_, err := Build(keys, values, 1.12, 3, 2)
-			return err
-		},
-		"BuildParallel": func() error {
-			_, err := BuildParallel(keys, values, 1.12, 3, 2)
-			return err
-		},
-	} {
-		err := build()
-		if !errors.Is(err, ErrBuildFailed) {
-			t.Fatalf("%s: err = %v, want ErrBuildFailed", name, err)
-		}
-		if !strings.Contains(err.Error(), "edges left in 2-core after attempt 2") {
-			t.Fatalf("%s: error does not surface the survivor count: %v", name, err)
-		}
+	_, err := build(keys, values, 1.12, 3, 2)
+	if !errors.Is(err, ErrBuildFailed) {
+		t.Fatalf("err = %v, want ErrBuildFailed", err)
+	}
+	if !strings.Contains(err.Error(), "edges left in 2-core after attempt 2") {
+		t.Fatalf("error does not surface the survivor count: %v", err)
 	}
 }
 
@@ -130,7 +119,7 @@ func BenchmarkBuildStaticMap(b *testing.B) {
 		pool := parallel.NewPool(workers)
 		b.Run(fmt.Sprintf("Ordered/W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildWithPool(keys, values, DefaultGamma, 42, 10, pool); err != nil {
+				if _, err := buildOn(pool, keys, values, DefaultGamma, 42, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

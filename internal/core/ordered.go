@@ -118,8 +118,7 @@ func parallelOrderCSR(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 	if grain <= 0 {
 		grain = 2048
 	}
-	pool, release := opts.pool()
-	defer release()
+	pool := opts.pool()
 
 	res := &OrderedResult{
 		FreeVertex: make([]uint32, g.M),

@@ -65,8 +65,7 @@ func ParallelOrderEdgesCtx(ctx context.Context, n, r int, edges []uint32, opts O
 	if grain <= 0 {
 		grain = 2048
 	}
-	pool, release := opts.pool()
-	defer release()
+	pool := opts.pool()
 
 	res := &OrderedResult{
 		FreeVertex: make([]uint32, m),

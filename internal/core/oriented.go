@@ -56,8 +56,7 @@ func SubtablesOrientedCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, 
 	if grain <= 0 {
 		grain = 2048
 	}
-	pool, release := opts.pool()
-	defer release()
+	pool := opts.pool()
 	r := g.R
 	sub := g.SubtableSize
 

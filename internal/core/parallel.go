@@ -32,42 +32,19 @@ type Options struct {
 	MaxRounds int // 0 means Deadline
 	Grain     int // parallel-for grain; 0 selects a default
 
-	// Workers sets the size of a private worker pool for this run; 0
-	// uses Pool if set and otherwise the process-wide default pool
-	// (parallel.Default / parallel.SetDefaultWorkers).
-	//
-	// Workers > 0 spins the pool up and tears it down on EVERY peeler
-	// call, so Options with Workers set must not be reused across a loop
-	// (retry loops in builders, per-request serving loops) — each
-	// iteration would pay worker startup again. Hoist with AcquirePool
-	// and pass Options{Pool: p} instead.
-	Workers int
-
 	// Pool runs the peel on an explicit persistent pool, amortizing
-	// worker startup across many runs. Ignored when Workers > 0.
+	// worker startup across many runs; nil selects the process-wide
+	// default pool (parallel.Default / parallel.SetDefaultWorkers).
 	Pool *parallel.Pool
 }
 
-// AcquirePool resolves the worker pool a run with these Options would
-// execute on, returning it together with a release func (a no-op unless
-// the call created the pool, i.e. Workers > 0). The peelers call it once
-// per run; callers that peel repeatedly — builder retry loops, servers
-// peeling per request — should AcquirePool once themselves, defer
-// release, and run every iteration with Options{Pool: p} so worker
-// startup is paid once.
-func (o Options) AcquirePool() (pool *parallel.Pool, release func()) {
-	if o.Workers > 0 {
-		p := parallel.NewPool(o.Workers)
-		return p, p.Close
-	}
+// pool resolves the worker pool a run with these Options executes on.
+func (o Options) pool() *parallel.Pool {
 	if o.Pool != nil {
-		return o.Pool, func() {}
+		return o.Pool
 	}
-	return parallel.Default(), func() {}
+	return parallel.Default()
 }
-
-// pool is the internal alias the peelers use.
-func (o Options) pool() (*parallel.Pool, func()) { return o.AcquirePool() }
 
 // roundBuffers holds the per-worker append shards a peel reuses across
 // rounds. Worker w appends only to index w (the pool guarantees chunks
@@ -244,8 +221,7 @@ func ParallelCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opti
 	if grain <= 0 {
 		grain = 2048
 	}
-	pool, release := opts.pool()
-	defer release()
+	pool := opts.pool()
 
 	res := &Result{}
 	alive := g.N

@@ -46,8 +46,7 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 	if grain <= 0 {
 		grain = 2048
 	}
-	pool, release := opts.pool()
-	defer release()
+	pool := opts.pool()
 	r := g.R
 	sub := g.SubtableSize
 

@@ -39,7 +39,7 @@ func TestDecodeRoundsMatchesSerial(t *testing.T) {
 			gotP[i], presentP[i] = 0, false
 			gotS[i], presentS[i] = 0, false
 		}
-		errP := code.DecodeWithPool(gotP, presentP, checks, pool)
+		errP := code.DecodeCtx(context.Background(), gotP, presentP, checks, pool)
 		errS := code.Decode(gotS, presentS, checks)
 		if (errP == nil) != (errS == nil) {
 			t.Fatalf("losses=%d: parallel err=%v, serial err=%v", losses, errP, errS)
@@ -64,7 +64,7 @@ func TestDecodeRoundsMatchesSerial(t *testing.T) {
 	for _, i := range rng.New(9).Perm(len(data))[:tooMany] {
 		got[i], present[i] = 0, false
 	}
-	if err := code.DecodeWithPool(got, present, checks, pool); !errors.Is(err, ErrDecodeFailed) {
+	if err := code.DecodeCtx(context.Background(), got, present, checks, pool); !errors.Is(err, ErrDecodeFailed) {
 		t.Fatalf("above-threshold parallel decode: err = %v, want ErrDecodeFailed", err)
 	}
 }
@@ -116,7 +116,7 @@ func TestConcurrentDecodeRounds(t *testing.T) {
 			for _, i := range jobGen.Perm(len(data))[:1200] {
 				got[i], present[i] = 0, false
 			}
-			if err := code.DecodeWithPool(got, present, checks, p); err != nil {
+			if err := code.DecodeCtx(context.Background(), got, present, checks, p); err != nil {
 				return err
 			}
 			for i := range data {

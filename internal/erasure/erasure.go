@@ -113,19 +113,12 @@ func (c *Code) Encode(data []uint64) []Cell {
 	return checks
 }
 
-// EncodeWithPool is Encode with the per-symbol cell updates fanned out
-// over an explicit worker pool using atomic XOR/add — the erasure analog
-// of the IBLT's parallel insertion phase. The resulting check block is
-// cell-for-cell identical to Encode's (XOR updates commute). All
-// per-call state is owned by the call, so concurrent encodes may share
-// one pool.
-func (c *Code) EncodeWithPool(data []uint64, pool *parallel.Pool) []Cell {
-	checks, _ := c.EncodeCtx(context.Background(), data, pool)
-	return checks
-}
-
-// EncodeCtx is EncodeWithPool with cooperative cancellation (checked
-// between batch chunks). On a non-nil return the check block is
+// EncodeCtx is Encode with the per-symbol cell updates fanned out over
+// pool using atomic XOR/add — the erasure analog of the IBLT's parallel
+// insertion phase. The resulting check block is cell-for-cell identical
+// to Encode's (XOR updates commute). All per-call state is owned by the
+// call, so concurrent encodes may share one pool. Cancellation is
+// checked between batch chunks; on a non-nil return the check block is
 // partially encoded and must be discarded.
 func (c *Code) EncodeCtx(ctx context.Context, data []uint64, pool *parallel.Pool) ([]Cell, error) {
 	checks := make([]Cell, c.cells)
@@ -149,7 +142,7 @@ func (c *Code) EncodeCtx(ctx context.Context, data []uint64, pool *parallel.Pool
 
 // applyAtomic adds (delta = +1) or subtracts (delta = -1) symbol i with
 // value v into cells using atomic updates — the concurrent analog of
-// subtract, shared by EncodeWithPool and DecodeWithPool. pos is the
+// subtract, shared by EncodeCtx and DecodeCtx. pos is the
 // caller's scratch buffer (one per worker; same-ID chunks never run
 // concurrently within a For call).
 func (c *Code) applyAtomic(cells []Cell, i int, v uint64, pos []int, delta int32) {
@@ -214,24 +207,20 @@ func (c *Code) Decode(data []uint64, present []bool, checks []Cell) error {
 	return c.peel(work, data, present, missing)
 }
 
-// DecodeWithPool is Decode with both phases on an explicit worker pool:
-// the received-symbol subtraction pass (the O(data) part that dominates
-// when few symbols are missing) fans out with atomic cell updates, and
-// recovery runs the round-synchronous parallel peel decodeRounds — the
-// erasure analog of the IBLT's subround decoder — instead of the serial
-// queue peel. Results are identical to Decode (peeling is confluent; the
-// recovered set and values do not depend on scheduling). All per-call
-// state is owned by the call, so concurrent decodes may share one pool
-// (the multi-tenant serving pattern; see parallel.Group).
-func (c *Code) DecodeWithPool(data []uint64, present []bool, checks []Cell, pool *parallel.Pool) error {
-	return c.DecodeCtx(context.Background(), data, present, checks, pool)
-}
-
-// DecodeCtx is DecodeWithPool with cooperative cancellation, checked
-// inside the subtraction pass and at every peeling round barrier. On
-// cancellation it returns ctx.Err(); data and present are then partially
-// updated and must be treated as abandoned. Mis-shaped inputs return an
-// error wrapping ErrShapeMismatch, as in Decode.
+// DecodeCtx is Decode with both phases on pool: the received-symbol
+// subtraction pass (the O(data) part that dominates when few symbols
+// are missing) fans out with atomic cell updates, and recovery runs the
+// round-synchronous parallel peel decodeRounds — the erasure analog of
+// the IBLT's subround decoder — instead of the serial queue peel.
+// Results are identical to Decode (peeling is confluent; the recovered
+// set and values do not depend on scheduling). All per-call state is
+// owned by the call, so concurrent decodes may share one pool.
+//
+// Cancellation is checked inside the subtraction pass and at every
+// peeling round barrier. On cancellation it returns ctx.Err(); data and
+// present are then partially updated and must be treated as abandoned.
+// Mis-shaped inputs return an error wrapping ErrShapeMismatch, as in
+// Decode.
 func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, checks []Cell, pool *parallel.Pool) error {
 	if err := c.checkShape(data, present, checks); err != nil {
 		return err
@@ -381,7 +370,7 @@ func (c *Code) pureAtomic(cell *Cell) (idx int, val uint64, ok bool) {
 }
 
 // peel runs the queue-driven serial peel of pure cells shared by Decode
-// and DecodeWithPool, filling recovered symbols into data/present.
+// and DecodeCtx, filling recovered symbols into data/present.
 func (c *Code) peel(work []Cell, data []uint64, present []bool, missing int) error {
 	pos := make([]int, c.r)
 	queue := make([]int, 0, 256)

@@ -243,15 +243,19 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// TestEncodeWithPoolMatchesSerial checks the pool-threaded encoder is
-// cell-for-cell identical to the serial one (XOR/add updates commute).
+// TestEncodeWithPoolMatchesSerial checks the pool-threaded encoder
+// (EncodeCtx) is cell-for-cell identical to the serial one (XOR/add
+// updates commute).
 func TestEncodeWithPoolMatchesSerial(t *testing.T) {
 	pool := parallel.NewPool(3)
 	defer pool.Close()
 	data := randomData(20000, 21)
 	code := NewCode(1500, 3, 7)
 	serial := code.Encode(data)
-	pooled := code.EncodeWithPool(data, pool)
+	pooled, err := code.EncodeCtx(context.Background(), data, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range serial {
 		if serial[i] != pooled[i] {
 			t.Fatalf("cell %d differs: serial %+v pooled %+v", i, serial[i], pooled[i])
@@ -260,19 +264,22 @@ func TestEncodeWithPoolMatchesSerial(t *testing.T) {
 }
 
 // TestDecodeWithPoolMatchesSerial checks the pool-threaded decoder
-// recovers exactly what the serial one does, on both succeeding and
-// stalling loss rates.
+// (DecodeCtx) recovers exactly what the serial one does, on both
+// succeeding and stalling loss rates.
 func TestDecodeWithPoolMatchesSerial(t *testing.T) {
 	pool := parallel.NewPool(3)
 	defer pool.Close()
 	data := randomData(20000, 22)
 	code := NewCode(1500, 3, 7)
-	checks := code.EncodeWithPool(data, pool)
+	checks, err := code.EncodeCtx(context.Background(), data, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, losses := range []int{0, 1000, 1400} {
 		gotS, presentS := erase(data, losses, 23)
 		gotP, presentP := erase(data, losses, 23)
 		errS := code.Decode(gotS, presentS, checks)
-		errP := code.DecodeWithPool(gotP, presentP, checks, pool)
+		errP := code.DecodeCtx(context.Background(), gotP, presentP, checks, pool)
 		if (errS == nil) != (errP == nil) {
 			t.Fatalf("losses %d: serial err=%v pooled err=%v", losses, errS, errP)
 		}
@@ -294,9 +301,12 @@ func TestConcurrentErasureJobsSharedPool(t *testing.T) {
 		group.Go(func(p *parallel.Pool) error {
 			data := randomData(8000+500*j, uint64(30+j))
 			code := NewCode(1200, 3, uint64(7+j))
-			checks := code.EncodeWithPool(data, p)
+			checks, err := code.EncodeCtx(context.Background(), data, p)
+			if err != nil {
+				return err
+			}
 			corrupted, present := erase(data, 700, uint64(90+j))
-			if err := code.DecodeWithPool(corrupted, present, checks, p); err != nil {
+			if err := code.DecodeCtx(context.Background(), corrupted, present, checks, p); err != nil {
 				return err
 			}
 			for i := range data {

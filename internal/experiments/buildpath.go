@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -44,7 +45,7 @@ type BuildPathRow struct {
 	SeqPeel  time.Duration // core.Sequential on the key hypergraph
 	OrdPeel1 time.Duration // core.ParallelOrder, 1-worker pool
 	OrdPeelW time.Duration // core.ParallelOrder, W-worker pool
-	BuildW   time.Duration // mphf.BuildWithPool end-to-end, W workers
+	BuildW   time.Duration // mphf.BuildCtx end-to-end, W workers
 }
 
 // RunBuildPath runs the sweep. The peels run on the identical graph
@@ -90,7 +91,7 @@ func RunBuildPath(cfg BuildPathConfig) []BuildPathRow {
 				core.ParallelOrder(g, 2, core.Options{Pool: wPool})
 			}),
 			BuildW: best(func() {
-				must(mphf.BuildWithPool(keys, cfg.Gamma, cfg.Seed, 10, wPool))
+				must(mphf.BuildCtx(context.Background(), keys, cfg.Gamma, cfg.Seed, 10, wPool))
 			}),
 		})
 	}

@@ -428,7 +428,7 @@ func (g *Hypergraph) DegreeHistogram(maxDeg int) []int {
 // CountDegreesBelow returns how many vertices currently have degree < k in
 // the full graph (round-1 peel candidates), computed in parallel on the
 // process-wide default pool. Callers that configured an explicit pool
-// (core.Options.Workers/Pool) should use CountDegreesBelowWithPool so the
+// (core.Options.Pool) should use CountDegreesBelowWithPool so the
 // scan does not escape to the default pool.
 func (g *Hypergraph) CountDegreesBelow(k int) int {
 	return g.CountDegreesBelowWithPool(k, parallel.Default())

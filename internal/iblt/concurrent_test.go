@@ -1,6 +1,7 @@
 package iblt
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestConcurrentDecodesSharedPool(t *testing.T) {
 }
 
 // TestReconcileWithPool runs the full protocol on an explicit pool and
-// checks it returns the same difference sets as the default-pool path.
+// checks it returns exactly the planted difference sets.
 func TestReconcileWithPool(t *testing.T) {
 	pool := parallel.NewPool(3)
 	defer pool.Close()
@@ -83,7 +84,7 @@ func TestReconcileWithPool(t *testing.T) {
 	onlyB := randomKeys(110, 62)
 	a := append(append([]uint64(nil), common...), onlyA...)
 	b := append(append([]uint64(nil), common...), onlyB...)
-	gotA, gotB, wire, err := ReconcileWithPool(a, b, 7, 1.5, pool)
+	gotA, gotB, wire, err := ReconcileCtx(context.Background(), a, b, 7, 1.5, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

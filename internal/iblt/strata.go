@@ -200,36 +200,6 @@ func (e *StrataEstimator) UnmarshalBinary(data []byte) error {
 // to be comparable (Subtract / Estimate).
 func (e *StrataEstimator) Seed() uint64 { return e.seed }
 
-// Reconcile runs the full two-message protocol between local and remote
-// key sets represented by their estimators and source sets: it estimates
-// the difference |A △ B| from the subtracted estimators, sizes a
-// reconciliation IBLT with the given safety headroom (cells ≈
-// headroom × estimate, headroom ≥ 1.25 recommended to stay below
-// c*(2,r)), and decodes. Returns the two difference sides.
-//
-// This is a protocol harness for tests and examples — real deployments
-// would ship the estimator and table over a network; the data flow and
-// byte counts are identical. It runs on the process-wide default pool;
-// servers reconciling many pairs concurrently should use
-// ReconcileWithPool so every request shares one pool.
-func Reconcile(localKeys, remoteKeys []uint64, seed uint64, headroom float64) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
-	return ReconcileWithPool(localKeys, remoteKeys, seed, headroom, parallel.Default())
-}
-
-// ReconcileWithPool is Reconcile with every phase pinned to an explicit
-// worker pool: the strata-estimator inserts (InsertAllWithPool — so no
-// serial prefix remains in a reconciliation request), the bulk table
-// inserts, and the difference-table frontier decode. All per-request
-// state is owned by the call, making it safe to run many
-// reconciliations concurrently on one shared pool (e.g. as
-// parallel.Group jobs). The returned difference sides are sorted, so the
-// output is identical at every pool size (the parallel decoder's
-// recovery order is scheduling-dependent; the recovered *set* is not, by
-// peeling confluence).
-func ReconcileWithPool(localKeys, remoteKeys []uint64, seed uint64, headroom float64, pool *parallel.Pool) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
-	return ReconcileCtx(context.Background(), localKeys, remoteKeys, seed, headroom, pool)
-}
-
 // MaxHeadroom caps the safety headroom ReconcileCtx honors. headroom
 // multiplies the difference-table allocation, so an unbounded value —
 // e.g. lifted straight off a wire request — would turn a small request
@@ -239,10 +209,26 @@ func ReconcileWithPool(localKeys, remoteKeys []uint64, seed uint64, headroom flo
 // rejected outright by the wire server's request parser.
 const MaxHeadroom = 16.0
 
-// ReconcileCtx is ReconcileWithPool with cooperative cancellation,
-// checked between protocol phases, inside the bulk insert passes, and at
-// the decode's subround barriers. On cancellation it returns ctx.Err()
-// and all partial protocol state is abandoned. headroom is clamped into
+// ReconcileCtx runs the full two-message protocol between local and
+// remote key sets represented by their estimators and source sets: it
+// estimates the difference |A △ B| from the subtracted estimators, sizes
+// a reconciliation IBLT with the given safety headroom (cells ≈
+// headroom × estimate, headroom ≥ 1.25 recommended to stay below
+// c*(2,r)), and decodes. Returns the two difference sides.
+//
+// This is a protocol harness — real deployments would ship the
+// estimator and table over a network; the data flow and byte counts are
+// identical. Every phase runs on pool: the strata-estimator inserts, the
+// bulk table inserts, and the difference-table frontier decode. All
+// per-request state is owned by the call, so many reconciliations may
+// run concurrently on one shared pool. The returned difference sides
+// are sorted, so the output is identical at every pool size (the
+// parallel decoder's recovery order is scheduling-dependent; the
+// recovered *set* is not, by peeling confluence).
+//
+// Cancellation is checked between protocol phases, inside the bulk
+// insert passes, and at the decode's subround barriers. On cancellation
+// it returns ctx.Err() and all partial protocol state is abandoned. headroom is clamped into
 // [1.25, MaxHeadroom], and the difference table is never sized beyond
 // what the two input sets themselves justify, so untrusted parameters
 // cannot drive an allocation disproportionate to the keys provided.

@@ -1,9 +1,18 @@
 package iblt
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/parallel"
 )
+
+// reconcile is ReconcileCtx on the default pool with a background
+// context.
+func reconcile(localKeys, remoteKeys []uint64, seed uint64, headroom float64) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
+	return ReconcileCtx(context.Background(), localKeys, remoteKeys, seed, headroom, parallel.Default())
+}
 
 func TestStrataEstimateAccuracy(t *testing.T) {
 	// Estimates should land within a factor ~2 of the truth across three
@@ -73,7 +82,7 @@ func TestReconcileEndToEnd(t *testing.T) {
 		a := append(append([]uint64(nil), common...), onlyA...)
 		b := append(append([]uint64(nil), common...), onlyB...)
 
-		gotA, gotB, wire, err := Reconcile(a, b, 99, 1.5)
+		gotA, gotB, wire, err := reconcile(a, b, 99, 1.5)
 		if err != nil {
 			t.Fatalf("diff %d: %v", diff, err)
 		}
@@ -95,7 +104,7 @@ func TestReconcileEndToEnd(t *testing.T) {
 
 func TestReconcileIdenticalSets(t *testing.T) {
 	keys := randomKeys(10000, 80)
-	a, b, _, err := Reconcile(keys, keys, 5, 1.5)
+	a, b, _, err := reconcile(keys, keys, 5, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +168,7 @@ func BenchmarkReconcile1000(b *testing.B) {
 	bb := append(append([]uint64(nil), common...), onlyB...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := Reconcile(a, bb, uint64(i), 1.5); err != nil {
+		if _, _, _, err := reconcile(a, bb, uint64(i), 1.5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,6 +37,14 @@
 // size arithmetic, mirroring iblt.UnmarshalBinary: a hostile header is
 // rejected with ErrBadImage without large allocation or panic, and the
 // checksum rejects silent corruption of the arrays.
+//
+// # Build driver
+//
+// Both kinds are built the same way — keys hashed to 3-partite edges,
+// the ordered k = 2 peel, a seed ladder on failure, and back-substitution
+// in reverse peel rounds — so that algorithm lives here once, as
+// Builder.BuildCtx. The mphf and bloomier packages each fix a Builder
+// and supply only their per-round back-substitution Kernel.
 package layout
 
 import (

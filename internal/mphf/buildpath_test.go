@@ -30,7 +30,7 @@ func buildSerialPeel(keys []uint64, gamma float64, seed uint64, maxTries int) (*
 		subSize = 2
 	}
 	for try := 0; try < maxTries; try++ {
-		attemptSeed, hseed := attemptSeeds(seed, try)
+		attemptSeed, hseed := layout.AttemptSeeds(seed, try, builder.Salt)
 		n := subSize * arity
 		edges := make([]uint32, len(keys)*arity)
 		for i, k := range keys {
@@ -78,7 +78,7 @@ func TestBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	var ref *MPHF
 	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, DefaultGamma, 7, 10, pool)
+		f, err := buildOn(pool, keys, DefaultGamma, 7, 10)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -105,9 +105,9 @@ func TestBuildAgreesWithSerialPeelOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial oracle: %v", err)
 	}
-	f, err := Build(keys, DefaultGamma, 7, 10)
+	f, err := build(keys, DefaultGamma, 7, 10)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildCtx: %v", err)
 	}
 	if f.Keys() != oracle.Keys() || f.Vertices() != oracle.Vertices() || f.Seed() != oracle.Seed() {
 		t.Fatal("geometry diverged from the serial construction")
@@ -129,7 +129,7 @@ func TestBuildAgreesWithSerialPeelOracle(t *testing.T) {
 func TestBuildFailedReportsSurvivors(t *testing.T) {
 	keys := randomKeys(20000, 29)
 	// γ = 1.12 → density 0.893 > c*(2,3) ≈ 0.818: peeling fails w.h.p.
-	_, err := Build(keys, 1.12, 3, 2)
+	_, err := build(keys, 1.12, 3, 2)
 	if !errors.Is(err, ErrBuildFailed) {
 		t.Fatalf("err = %v, want ErrBuildFailed", err)
 	}
@@ -161,7 +161,7 @@ func BenchmarkBuildMPHF(b *testing.B) {
 		pool := parallel.NewPool(workers)
 		b.Run(fmt.Sprintf("Ordered/W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildWithPool(keys, DefaultGamma, 42, 10, pool); err != nil {
+				if _, err := buildOn(pool, keys, DefaultGamma, 42, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,7 +32,7 @@ func TestBuildBitIdenticalGoldenDigests(t *testing.T) {
 			t.Run(fmt.Sprintf("n=%d/W=%d", tc.n, workers), func(t *testing.T) {
 				pool := parallel.NewPool(workers)
 				defer pool.Close()
-				f, err := BuildWithPool(keys, DefaultGamma, tc.seed, 10, pool)
+				f, err := buildOn(pool, keys, DefaultGamma, tc.seed, 10)
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}

@@ -17,7 +17,7 @@ func TestLayoutRoundTripDeterministic(t *testing.T) {
 	var refImage []byte
 	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, DefaultGamma, 7, 10, pool)
+		f, err := buildOn(pool, keys, DefaultGamma, 7, 10)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

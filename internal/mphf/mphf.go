@@ -23,11 +23,9 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/parallel"
-	"repro/internal/rng"
 )
 
 // DefaultGamma is the standard vertex/key ratio: edge density 1/1.23 is
@@ -62,187 +60,62 @@ var ErrBuildFailed = errors.New("mphf: construction failed on all attempts")
 // 2-core, so only a build whose first attempt fails checks for them.
 var ErrDuplicateKeys = errors.New("mphf: duplicate keys")
 
-// Build constructs an MPHF for the distinct keys using the given
+// builder fixes the MPHF's part of the shared layout build driver.
+var builder = &layout.Builder{
+	Kind:             layout.KindMPHF,
+	Salt:             0xbf58476d1ce4e5b9,
+	Failpoint:        faultinject.MPHFAttempt,
+	ErrBuildFailed:   ErrBuildFailed,
+	ErrDuplicateKeys: ErrDuplicateKeys,
+}
+
+// BuildCtx constructs an MPHF for the distinct keys using the given
 // vertex/key ratio gamma (use DefaultGamma) and an initial seed; it
-// retries with derived seeds up to maxTries times (10 is plenty).
-// The whole build path — hashing, the ordered parallel peel, and the
-// round-parallel g-value assignment — runs on the process-wide default
-// pool; use BuildWithPool to pin it to an explicit one. The resulting
-// function is identical either way and at every pool size (the ordered
-// peel is bit-stable across worker counts).
-//
-//peelvet:deterministic
-func Build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
-	return BuildWithPool(keys, gamma, seed, maxTries, parallel.Default())
-}
-
-// BuildWorkers is Build on a private pool of the given size (workers
-// <= 0 selects the default size). The pool is created once for ALL
-// retry attempts and closed before returning, so a 10-retry build pays
-// worker startup exactly once — the hoisted form of the per-call pool
-// spin-up that core.Options{Workers: n} would cost inside a loop.
-// Callers building many functions should instead share one pool across
-// builds via BuildWithPool (e.g. as parallel.Group jobs).
-//
-//peelvet:deterministic
-func BuildWorkers(keys []uint64, gamma float64, seed uint64, maxTries, workers int) (*MPHF, error) {
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	return BuildWithPool(keys, gamma, seed, maxTries, pool)
-}
-
-// BuildWithPool is Build with every construction phase — per-key edge
-// hashing on each retry attempt, the peel, and the g-value assignment —
-// run on an explicit worker pool. The peel is the ordered
-// round-synchronous process on the flat edge list
-// (core.ParallelOrderEdgesCtx), whose round-major order and
-// minimum-endpoint orientation are bit-stable, so the resulting
-// function is identical at every pool size; the assignment processes
-// the peel rounds in reverse with full parallelism inside each round
-// (sound for k = 2: within a round every peeled edge has a distinct
-// free vertex and non-free endpoints finalize strictly later). All
-// per-build state is owned by the call, so many builds may run
-// concurrently on one shared pool.
-//
-//peelvet:deterministic
-func BuildWithPool(keys []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*MPHF, error) {
-	return BuildCtx(context.Background(), keys, gamma, seed, maxTries, pool)
-}
-
-// BuildCtx is BuildWithPool with cooperative cancellation, checked at
-// every round barrier of every attempt's peel and assignment sweep (and
-// at the phase barriers between hashing, peel, and assignment) — a
-// canceled build stops within one round of extra work, not one phase.
-// On cancellation it returns (nil, ctx.Err()).
+// retries with derived seeds up to maxTries times (10 is plenty). Every
+// construction phase — per-key edge hashing, the ordered peel on the
+// flat edge list, and the round-parallel g-value assignment — runs on
+// pool (layout.Builder.BuildCtx), and the function is byte-identical at
+// every pool size. All per-build state is owned by the call, so many
+// builds may share one pool. Cancellation is checked at every round
+// barrier of every attempt; on cancellation it returns (nil, ctx.Err()).
 //
 //peelvet:deterministic
 func BuildCtx(ctx context.Context, keys []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*MPHF, error) {
-	if gamma < 1.1 {
-		return nil, fmt.Errorf("mphf: gamma %.3f too small (< 1.1 cannot peel)", gamma)
-	}
-	if maxTries <= 0 {
-		maxTries = 10
-	}
-	m := len(keys)
-	subSize := int(gamma*float64(m))/arity + 1
-	if subSize < 2 {
-		subSize = 2
-	}
-	survivors := 0
-	for try := 0; try < maxTries; try++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		attemptSeed, hseed := attemptSeeds(seed, try)
-		im, left, err := buildAttempt(ctx, keys, attemptSeed, hseed, m, subSize, pool)
-		if err != nil {
-			return nil, err
-		}
-		if faultinject.Enabled {
-			// Failpoint: setting the *bool forces this attempt to report
-			// a non-empty 2-core, as an unlucky seed would.
-			forceFail := false
-			faultinject.Fire(faultinject.MPHFAttempt, &forceFail)
-			if forceFail {
-				im, left = nil, len(keys)
-			}
-		}
-		if im != nil {
-			return &MPHF{im: im}, nil
-		}
-		survivors = left
-		if try == 0 && layout.HasDuplicateKeys(keys) {
-			return nil, ErrDuplicateKeys
-		}
-	}
-	return nil, fmt.Errorf("%w: %d edges left in 2-core after attempt %d", ErrBuildFailed, survivors, maxTries)
-}
-
-// attemptSeeds derives attempt try's seed and the three vertex-hash
-// seeds stored in the image header.
-func attemptSeeds(seed uint64, try int) (attemptSeed uint64, hseed [arity]uint64) {
-	attemptSeed = rng.Mix64(seed + uint64(try)*0x9e3779b97f4a7c15)
-	for j := 0; j < arity; j++ {
-		hseed[j] = rng.Mix64(attemptSeed ^ uint64(j+1)*0xbf58476d1ce4e5b9)
-	}
-	return
-}
-
-// buildAttempt peels the key hypergraph for one seed attempt and, on an
-// empty 2-core, writes the g values, used bitmap, and rank directory
-// into a freshly allocated flat image and seals it; a non-empty 2-core
-// returns (nil, survivors, nil) so the retry loop can surface the count
-// through ErrBuildFailed. Every phase runs on the pool: edge hashing
-// fans out chunk-wise (each key's vertices depend only on the key and
-// the attempt seeds, so parallel hashing is deterministic), the peel is
-// the ordered round-synchronous process on the hashed edge list, and
-// the g-value assignment walks the peel rounds in reverse with full
-// parallelism inside each round. ctx is checked at every round barrier.
-func buildAttempt(ctx context.Context, keys []uint64, attemptSeed uint64, hseed [arity]uint64, m, subSize int, pool *parallel.Pool) (*layout.Image, int, error) {
-	n := subSize * arity
-	edges := make([]uint32, len(keys)*arity)
-	if err := pool.ForCtx(ctx, len(keys), 2048, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vs := layout.VertexTriple(hseed, subSize, keys[i])
-			copy(edges[i*arity:], vs[:])
-		}
-	}); err != nil {
-		return nil, 0, err
-	}
-	ord, err := core.ParallelOrderEdgesCtx(ctx, n, arity, edges, core.Options{Pool: pool})
+	im, err := builder.BuildCtx(ctx, keys, gamma, seed, maxTries, pool, assignG)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if !ord.Empty() {
-		return nil, ord.CoreEdges, nil
-	}
-
-	// The serve-time arrays are written straight into the flat image —
-	// there is no separate in-memory representation to convert from.
-	im := layout.NewMPHF(attemptSeed, hseed, m, subSize)
-
-	// Reverse round-major order: when edge e (freed by vertex v at
-	// position p) is processed, the other two endpoints' g values are
-	// final — within a round every peeled edge has a distinct free
-	// vertex and non-free endpoints free edges only in strictly later
-	// rounds (k = 2; see core.OrderedResult) — so the edges of one round
-	// are assigned concurrently: g[v] = (p − g[u1] − g[u2]) mod 3 makes
-	// the lookup rule (g[v0]+g[v1]+g[v2]) mod 3 == p hold. The used
-	// bitmap is the only shared word array, updated with an atomic OR.
-	// Unassigned vertices keep 0.
-	gv, used := im.G, im.Used
-	for t := ord.Rounds; t >= 1; t-- {
-		seg := ord.RoundSegment(t)
-		if err := pool.ForCtx(ctx, len(seg), 1024, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := int(seg[i])
-				free := ord.FreeVertex[e]
-				vs := edges[e*arity : e*arity+arity]
-				sum := 0
-				p := -1
-				for pos, u := range vs {
-					if u == free {
-						p = pos
-					} else {
-						sum += int(gv[u])
-					}
-				}
-				gv[free] = uint8(((p-sum)%arity + arity) % arity)
-				atomic.OrUint64(&used[free>>6], 1<<(uint(free)&63))
-			}
-		}); err != nil {
-			return nil, 0, err
-		}
-	}
-
 	// Rank directory: prefix popcounts per word for O(1) rank.
 	rank := im.Rank
 	rank[0] = 0
-	for i, w := range used {
+	for i, w := range im.Used {
 		rank[i+1] = rank[i] + uint32(bits.OnesCount64(w))
 	}
 	im.Marshal() // seal: checksum now covers the final arrays
-	return im, 0, nil
+	return &MPHF{im: im}, nil
+}
+
+// assignG is the MPHF back-substitution kernel: for edge e freed by
+// vertex v at position p, g[v] = (p − g[u1] − g[u2]) mod 3 makes the
+// lookup rule (g[v0]+g[v1]+g[v2]) mod 3 == p hold. The used bitmap is
+// the only shared word array, updated with an atomic OR. Unassigned
+// vertices keep 0.
+func assignG(im *layout.Image, edges, free, peeled []uint32) {
+	gv, used := im.G, im.Used
+	for _, e := range peeled {
+		fv := free[e]
+		sum := 0
+		p := -1
+		for pos, u := range edges[int(e)*arity : int(e)*arity+arity] {
+			if u == fv {
+				p = pos
+			} else {
+				sum += int(gv[u])
+			}
+		}
+		gv[fv] = uint8(((p-sum)%arity + arity) % arity)
+		atomic.OrUint64(&used[fv>>6], 1<<(uint(fv)&63))
+	}
 }
 
 // FromImage wraps an already-open flat image as an MPHF view. The image

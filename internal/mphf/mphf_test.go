@@ -1,6 +1,7 @@
 package mphf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,11 +26,21 @@ func randomKeys(n int, seed uint64) []uint64 {
 	return keys
 }
 
+// build is BuildCtx on the default pool with a background context.
+func build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
+	return buildOn(parallel.Default(), keys, gamma, seed, maxTries)
+}
+
+// buildOn is BuildCtx on pool with a background context.
+func buildOn(pool *parallel.Pool, keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
+	return BuildCtx(context.Background(), keys, gamma, seed, maxTries, pool)
+}
+
 func TestBuildAndLookupBijective(t *testing.T) {
 	keys := randomKeys(50000, 1)
-	f, err := Build(keys, DefaultGamma, 42, 10)
+	f, err := build(keys, DefaultGamma, 42, 10)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildCtx: %v", err)
 	}
 	if f.Keys() != len(keys) {
 		t.Fatalf("Keys() = %d", f.Keys())
@@ -50,7 +61,7 @@ func TestBuildAndLookupBijective(t *testing.T) {
 func TestSmallSets(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 17} {
 		keys := randomKeys(n, uint64(n))
-		f, err := Build(keys, DefaultGamma, 7, 20)
+		f, err := build(keys, DefaultGamma, 7, 20)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -67,20 +78,20 @@ func TestSmallSets(t *testing.T) {
 
 func TestDuplicateKeysRejected(t *testing.T) {
 	keys := []uint64{1, 2, 3, 2}
-	if _, err := Build(keys, DefaultGamma, 1, 5); !errors.Is(err, ErrDuplicateKeys) {
+	if _, err := build(keys, DefaultGamma, 1, 5); !errors.Is(err, ErrDuplicateKeys) {
 		t.Fatalf("expected ErrDuplicateKeys, got %v", err)
 	}
 	// At a realistic size a single duplicate still leaves its two
 	// identical edges in the 2-core, which is what triggers the check.
 	keys = randomKeys(50000, 3)
 	keys[40000] = keys[7]
-	if _, err := Build(keys, DefaultGamma, 1, 5); !errors.Is(err, ErrDuplicateKeys) {
+	if _, err := build(keys, DefaultGamma, 1, 5); !errors.Is(err, ErrDuplicateKeys) {
 		t.Fatalf("one duplicate in 50000 keys: expected ErrDuplicateKeys, got %v", err)
 	}
 }
 
 func TestGammaTooSmall(t *testing.T) {
-	if _, err := Build(randomKeys(10, 1), 1.0, 1, 3); err == nil {
+	if _, err := build(randomKeys(10, 1), 1.0, 1, 3); err == nil {
 		t.Fatal("gamma 1.0 accepted")
 	}
 }
@@ -89,9 +100,9 @@ func TestTightGammaEventuallyBuilds(t *testing.T) {
 	// γ = 1.25 keeps density 0.80 < 0.818: still succeeds, demonstrating
 	// how close to the threshold the construction can run.
 	keys := randomKeys(20000, 3)
-	f, err := Build(keys, 1.25, 11, 20)
+	f, err := build(keys, 1.25, 11, 20)
 	if err != nil {
-		t.Fatalf("Build at gamma 1.25: %v", err)
+		t.Fatalf("BuildCtx at gamma 1.25: %v", err)
 	}
 	seen := make([]bool, len(keys))
 	for _, k := range keys {
@@ -105,7 +116,7 @@ func TestTightGammaEventuallyBuilds(t *testing.T) {
 
 func TestSpaceAccounting(t *testing.T) {
 	keys := randomKeys(10000, 4)
-	f, err := Build(keys, DefaultGamma, 5, 10)
+	f, err := build(keys, DefaultGamma, 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +128,11 @@ func TestSpaceAccounting(t *testing.T) {
 
 func TestDeterministicLookups(t *testing.T) {
 	keys := randomKeys(5000, 5)
-	f, err := Build(keys, DefaultGamma, 9, 10)
+	f, err := build(keys, DefaultGamma, 9, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(keys, DefaultGamma, 9, 10)
+	g, err := build(keys, DefaultGamma, 9, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +145,7 @@ func TestDeterministicLookups(t *testing.T) {
 
 func TestForeignKeysStayInRange(t *testing.T) {
 	keys := randomKeys(1000, 6)
-	f, err := Build(keys, DefaultGamma, 13, 10)
+	f, err := build(keys, DefaultGamma, 13, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +162,7 @@ func TestQuickBijectivity(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw%500) + 1
 		keys := randomKeys(n, seed)
-		fn, err := Build(keys, DefaultGamma, seed^0xbeef, 20)
+		fn, err := build(keys, DefaultGamma, seed^0xbeef, 20)
 		if err != nil {
 			return false
 		}
@@ -174,7 +185,7 @@ func BenchmarkBuild(b *testing.B) {
 	keys := randomKeys(1<<16, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(keys, DefaultGamma, uint64(i), 10); err != nil {
+		if _, err := build(keys, DefaultGamma, uint64(i), 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +193,7 @@ func BenchmarkBuild(b *testing.B) {
 
 func BenchmarkLookup(b *testing.B) {
 	keys := randomKeys(1<<16, 1)
-	f, err := Build(keys, DefaultGamma, 1, 10)
+	f, err := build(keys, DefaultGamma, 1, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -199,15 +210,15 @@ func BenchmarkLookup(b *testing.B) {
 // hence every lookup are identical to Build's, at any pool size.
 func TestBuildWithPoolMatchesDefault(t *testing.T) {
 	keys := randomKeys(20000, 9)
-	ref, err := Build(keys, DefaultGamma, 7, 10)
+	ref, err := build(keys, DefaultGamma, 7, 10)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildCtx: %v", err)
 	}
 	for _, workers := range []int{1, 3} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, DefaultGamma, 7, 10, pool)
+		f, err := buildOn(pool, keys, DefaultGamma, 7, 10)
 		if err != nil {
-			t.Fatalf("BuildWithPool(workers=%d): %v", workers, err)
+			t.Fatalf("BuildCtx(workers=%d): %v", workers, err)
 		}
 		for _, k := range keys {
 			if f.Lookup(k) != ref.Lookup(k) {
@@ -215,26 +226,6 @@ func TestBuildWithPoolMatchesDefault(t *testing.T) {
 			}
 		}
 		pool.Close()
-	}
-}
-
-// TestBuildWorkersMatchesBuild checks the hoisted private-pool entry
-// point produces the identical function (same seed → same attempt
-// sequence → same g values).
-func TestBuildWorkersMatchesBuild(t *testing.T) {
-	keys := randomKeys(3000, 71)
-	base, err := Build(keys, DefaultGamma, 7, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := BuildWorkers(keys, DefaultGamma, 7, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if f.Lookup(k) != base.Lookup(k) {
-			t.Fatalf("BuildWorkers lookup diverges on key %#x", k)
-		}
 	}
 }
 
@@ -247,7 +238,7 @@ func TestConcurrentBuildsSharedPool(t *testing.T) {
 	for j := 0; j < 6; j++ {
 		group.Go(func(p *parallel.Pool) error {
 			keys := randomKeys(2000+100*j, uint64(80+j))
-			f, err := BuildWithPool(keys, DefaultGamma, uint64(7+j), 10, p)
+			f, err := buildOn(p, keys, DefaultGamma, uint64(7+j), 10)
 			if err != nil {
 				return err
 			}
@@ -279,7 +270,7 @@ func BenchmarkConcurrentBuild(b *testing.B) {
 	keys := randomKeys(20000, 5)
 	buildJob := func(p *parallel.Pool, reps, j int) error {
 		for i := 0; i < reps; i++ {
-			if _, err := BuildWithPool(keys, DefaultGamma, uint64(7+j), 10, p); err != nil {
+			if _, err := buildOn(p, keys, DefaultGamma, uint64(7+j), 10); err != nil {
 				return err
 			}
 		}

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/iblt"
@@ -416,6 +417,12 @@ func parseReconcileReq(p []byte) (*reconcileReq, error) {
 	// clamps again as defense in depth; the wire rejects outright.
 	if math.IsNaN(q.headroom) || q.headroom < 0 || q.headroom > iblt.MaxHeadroom {
 		return nil, fmt.Errorf("%w: headroom %v outside [0, %v]", ErrProtocol, q.headroom, float64(iblt.MaxHeadroom))
+	}
+	// The IBLT's XOR accounting cannot represent key 0; it is client
+	// input, so reject it here rather than let the table's insert guard
+	// fire inside a pool job.
+	if slices.Contains(q.local, 0) || slices.Contains(q.remote, 0) {
+		return nil, fmt.Errorf("%w: zero key is not representable", ErrProtocol)
 	}
 	return q, nil
 }

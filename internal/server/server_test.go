@@ -205,32 +205,50 @@ func TestShortPayloadGetsTypedReply(t *testing.T) {
 	}
 }
 
-// TestHostileHeadroomRejected: the reconcile headroom multiplies a
-// server-side allocation (the difference table), so values beyond
-// iblt.MaxHeadroom must be refused as BAD_REQUEST at parse time — a
+// TestHostileReconcileFramesRejected: reconcile frames carry client
+// input that the parser must refuse as BAD_REQUEST before any work is
+// admitted. The headroom multiplies a server-side allocation (the
+// difference table), so values beyond iblt.MaxHeadroom are refused — a
 // tiny frame asking for headroom 1e9 would otherwise drive a multi-GB
-// allocation before any work was admitted.
-func TestHostileHeadroomRejected(t *testing.T) {
-	_, addr := startServer(t, Options{Workers: 1})
+// allocation. A zero key on either side is refused too: the IBLT cannot
+// represent it, and letting it through panics a pool job (INTERNAL).
+func TestHostileReconcileFramesRejected(t *testing.T) {
+	srv, addr := startServer(t, Options{Workers: 1})
 	nc := dialRaw(t, addr)
 
-	for i, h := range []float64{1e9, math.Inf(1), math.Inf(-1), math.NaN(), -1, iblt.MaxHeadroom + 0.5} {
+	type frame struct {
+		headroom      float64
+		local, remote []uint64
+	}
+	valid := frame{1.5, []uint64{1, 2}, []uint64{2, 3}}
+	var hostile []frame
+	for _, h := range []float64{1e9, math.Inf(1), math.Inf(-1), math.NaN(), -1, iblt.MaxHeadroom + 0.5} {
+		hostile = append(hostile, frame{h, valid.local, valid.remote})
+	}
+	hostile = append(hostile,
+		frame{valid.headroom, []uint64{0, 1, 2, 3}, valid.remote},
+		frame{valid.headroom, valid.local, []uint64{1, 2, 3, 0}},
+	)
+	for i, f := range hostile {
 		id := uint64(i + 1)
-		req := EncodeReconcileReq(0, 7, h, []uint64{1, 2}, []uint64{2, 3})
+		req := EncodeReconcileReq(0, 7, f.headroom, f.local, f.remote)
 		if _, err := nc.Write(appendFrame(nil, OpReconcile, id, req)); err != nil {
-			t.Fatalf("write headroom %v: %v", h, err)
+			t.Fatalf("write %+v: %v", f, err)
 		}
 		typ, gotID, payload := readReply(t, nc)
 		if typ != TypeError || gotID != id {
-			t.Fatalf("headroom %v: reply typ=%#x id=%d, want ERROR id=%d", h, typ, gotID, id)
+			t.Fatalf("%+v: reply typ=%#x id=%d, want ERROR id=%d", f, typ, gotID, id)
 		}
 		if e, err := ParseError(payload); err != nil || e.Code != CodeBadRequest {
-			t.Fatalf("headroom %v: %v (parse err %v), want BAD_REQUEST", h, e, err)
+			t.Fatalf("%+v: %v (parse err %v), want BAD_REQUEST", f, e, err)
 		}
 	}
+	if n := srv.Runtime().Stats().JobsPanicked; n != 0 {
+		t.Fatalf("%d jobs panicked on hostile frames, want 0", n)
+	}
 
-	// The ceiling itself is a valid request.
-	req := EncodeReconcileReq(0, 7, iblt.MaxHeadroom, []uint64{1, 2}, []uint64{2, 3})
+	// The headroom ceiling with nonzero keys is a valid request.
+	req := EncodeReconcileReq(0, 7, iblt.MaxHeadroom, valid.local, valid.remote)
 	if _, err := nc.Write(appendFrame(nil, OpReconcile, 99, req)); err != nil {
 		t.Fatalf("write: %v", err)
 	}

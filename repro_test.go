@@ -49,9 +49,19 @@ func TestFacadePredictRounds(t *testing.T) {
 	}
 }
 
+// peelSubtables is Runtime.PeelSubtables on the default Runtime.
+func peelSubtables(tb testing.TB, g *Hypergraph, k int) *PeelResult {
+	tb.Helper()
+	res, err := DefaultRuntime().PeelSubtables(context.Background(), g, k, PeelOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestFacadeSubtables(t *testing.T) {
 	g := NewPartitionedHypergraph(80000, 56000, 4, 2)
-	res := PeelSubtables(g, 2)
+	res := peelSubtables(t, g, 2)
 	if !res.Empty() {
 		t.Fatal("facade subtable peel failed")
 	}

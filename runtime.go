@@ -301,7 +301,7 @@ var (
 )
 
 // DefaultRuntime returns the lazily created process-wide Runtime backing
-// the package's one-shot convenience functions (PeelParallel, BuildMPHF,
+// the package's one-shot convenience functions (PeelOrdered, BuildMPHF,
 // ReconcileSets, ...). It runs on the process-wide default worker pool
 // (shared with parallel.Default) with unbounded admission and the zero
 // Policy. Servers should create their own Runtime to pick
@@ -313,7 +313,7 @@ var (
 // package-level helpers recover full parallelism instead of degrading
 // to inline serial execution for the rest of the process. Handles to
 // the old Runtime keep their post-shutdown semantics (ErrRuntimeClosed,
-// serial fallbacks in the facade helpers).
+// default-pool fallbacks in the facade helpers).
 func DefaultRuntime() *Runtime {
 	defaultRuntimeMu.Lock()
 	defer defaultRuntimeMu.Unlock()
@@ -332,8 +332,8 @@ func DefaultRuntime() *Runtime {
 // Workers returns the size of the Runtime's worker pool.
 func (rt *Runtime) Workers() int { return rt.core.pool.Workers() }
 
-// Pool returns the underlying shared worker pool, for interoperating
-// with the deprecated ...WithPool entry points during migration.
+// Pool returns the underlying shared worker pool — the pool every Go
+// job receives.
 func (rt *Runtime) Pool() *WorkerPool { return rt.core.pool }
 
 // Stats returns a snapshot of the Runtime's backpressure and failure
@@ -465,8 +465,7 @@ func (rt *Runtime) execute(ctx context.Context, job func(ctx context.Context, po
 }
 
 // Go submits an arbitrary job to run asynchronously on the shared pool —
-// the escape hatch subsuming the deprecated JobGroup for workloads the
-// typed methods don't cover. The job receives ctx and the shared pool
+// the escape hatch for workloads the typed methods don't cover. The job receives ctx and the shared pool
 // and should pass them to the ctx-aware entry points (or check ctx at
 // its own barriers). Go blocks only for admission (MaxJobs), respecting
 // ctx; it returns a wait function that blocks until the job finishes and
@@ -577,13 +576,12 @@ func (rt *Runtime) Shutdown(ctx context.Context) error {
 
 // Peel runs the round-synchronous parallel peeling process on the
 // shared pool. opts selects scan policy, round cap, and grain; its Pool
-// and Workers fields are ignored (the Runtime's pool always wins).
+// field is ignored (the Runtime's pool always wins).
 // Cancellation is checked at every round barrier: a canceled peel stops
 // within one round of extra work and returns (nil, ctx.Err()).
 func (rt *Runtime) Peel(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*PeelResult, error) {
 	var res *PeelResult
 	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		opts.Workers = 0
 		opts.Pool = pool
 		var err error
 		res, err = core.ParallelCtx(ctx, g, k, opts)
@@ -604,7 +602,6 @@ func (rt *Runtime) Peel(ctx context.Context, g *Hypergraph, k int, opts PeelOpti
 func (rt *Runtime) PeelOrdered(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*OrderedPeelResult, error) {
 	var res *OrderedPeelResult
 	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		opts.Workers = 0
 		opts.Pool = pool
 		var err error
 		res, err = core.ParallelOrderCtx(ctx, g, k, opts)
@@ -622,7 +619,6 @@ func (rt *Runtime) PeelOrdered(ctx context.Context, g *Hypergraph, k int, opts P
 func (rt *Runtime) PeelSubtables(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*PeelResult, error) {
 	var res *PeelResult
 	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		opts.Workers = 0
 		opts.Pool = pool
 		var err error
 		res, err = core.SubtablesCtx(ctx, g, k, opts)

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func testRuntimeKeys(n int, seed uint64) []uint64 {
@@ -38,8 +40,8 @@ func TestRuntimeServesAllWorkloads(t *testing.T) {
 	if err != nil || !res.Empty() {
 		t.Fatalf("Peel: err=%v empty=%v", err, err == nil && res.Empty())
 	}
-	if want := PeelParallel(g, 2); res.Rounds != want.Rounds || res.CoreVertices != want.CoreVertices {
-		t.Fatalf("Runtime.Peel diverges from PeelParallel: %d/%d vs %d/%d",
+	if want := core.Parallel(g, 2, core.Options{}); res.Rounds != want.Rounds || res.CoreVertices != want.CoreVertices {
+		t.Fatalf("Runtime.Peel diverges from core.Parallel: %d/%d vs %d/%d",
 			res.Rounds, res.CoreVertices, want.Rounds, want.CoreVertices)
 	}
 	pg := NewPartitionedHypergraph(3*20000, 40000, 3, 2)
