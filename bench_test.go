@@ -130,7 +130,7 @@ func BenchmarkAblationScan(b *testing.B) {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := core.Parallel(g, 2, core.Options{Scan: bench.scan})
+				res, _ := core.ParallelCtx(context.Background(), g, 2, core.Options{Scan: bench.scan})
 				if !res.Empty() {
 					b.Fatal("peel failed")
 				}
@@ -261,7 +261,7 @@ func BenchmarkPeelWorkerCounts(b *testing.B) {
 		opts := core.Options{Pool: pool}
 		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if res := core.Parallel(g, 2, opts); !res.Empty() {
+				if res, _ := core.ParallelCtx(context.Background(), g, 2, opts); !res.Empty() {
 					b.Fatal("peel failed")
 				}
 			}
@@ -282,14 +282,14 @@ func BenchmarkIBLTParallelRecovery(b *testing.B) {
 		}
 	}
 	master := iblt.New(cells, 3, 1)
-	master.InsertAll(keys)
+	master.InsertAllWithPool(keys, parallel.Default())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		t := master.Clone()
 		b.StartTimer()
-		if res := t.DecodeParallel(); !res.Complete {
+		if res, _ := t.DecodeParallelCtx(context.Background(), parallel.Default()); !res.Complete {
 			b.Fatal("decode failed")
 		}
 	}

@@ -53,10 +53,15 @@ func main() {
 		experiments.RenderScanAblation(os.Stdout, experiments.RunScanAblation(experiments.DefaultScanAblation()))
 		fmt.Println()
 	}
+	// A parallel decode that disagrees with the serial decode fails the
+	// run once every requested section has printed.
+	mismatch := false
 	if *decode {
 		fmt.Println("== IBLT decode: serial vs GPU-style full scan vs frontier extension ==")
-		experiments.RunDecoderAblation(experiments.DefaultDecoderAblation()).Render(os.Stdout)
+		res := experiments.RunDecoderAblation(experiments.DefaultDecoderAblation())
+		res.Render(os.Stdout)
 		fmt.Println()
+		mismatch = len(res.Mismatches) > 0
 	}
 	if *cuckoo {
 		fmt.Println("== cuckoo placement: peeling (threshold 0.818) vs random walk (threshold ~0.917), r=3 ==")
@@ -71,5 +76,8 @@ func main() {
 	if *ensembles {
 		fmt.Println("== degree ensembles at equal density 1.0 (r=3, k=2) ==")
 		experiments.RenderEnsembleComparison(os.Stdout, experiments.RunEnsembleComparison(100000, 2014))
+	}
+	if mismatch {
+		os.Exit(1)
 	}
 }

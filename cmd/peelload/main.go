@@ -60,7 +60,7 @@ func makeJob(op string, nkeys, r int, load float64, seed uint64) job {
 		cells := int(float64(nkeys) / load)
 		keys := randomKeys(nkeys, seed)
 		master := iblt.New(cells, r, seed^0xdec0de)
-		master.InsertAll(keys)
+		master.InsertAllWithPool(keys, parallel.Default())
 		return job{units: nkeys, run: func(ctx context.Context, p *repro.WorkerPool) error {
 			res, err := master.Clone().DecodeParallelFrontierCtx(ctx, p)
 			if err != nil {
@@ -131,7 +131,7 @@ func makeNetJob(cl *client.Client, op string, nkeys, r int, load float64, seed u
 		cells := int(float64(nkeys) / load)
 		keys := randomKeys(nkeys, seed)
 		master := iblt.New(cells, r, seed^0xdec0de)
-		master.InsertAll(keys)
+		master.InsertAllWithPool(keys, parallel.Default())
 		wire, err := master.MarshalBinary()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "peelload: marshal sketch: %v\n", err)

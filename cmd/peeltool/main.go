@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/layout"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -59,9 +61,9 @@ func main() {
 		m := int(*c * float64(*n))
 		if *part {
 			nn := *n - *n%*r
-			g = hypergraph.Partitioned(nn, m, *r, rng.New(*seed))
+			g = hypergraph.Partitioned(nn, m, *r, rng.New(*seed), parallel.Default())
 		} else {
-			g = hypergraph.Uniform(*n, m, *r, rng.New(*seed))
+			g = hypergraph.Uniform(*n, m, *r, rng.New(*seed), parallel.Default())
 		}
 	case *in != "":
 		f, err := os.Open(*in)
@@ -96,12 +98,13 @@ func main() {
 	}
 
 	if *k > 0 {
+		// Without a deadline the peelers cannot fail.
 		var res *core.Result
 		if *subtables {
-			res = core.Subtables(g, *k, core.Options{})
+			res, _ = core.SubtablesCtx(context.Background(), g, *k, core.Options{})
 			fmt.Printf("subtable peel: %d rounds (%d subrounds)\n", res.Rounds, res.Subrounds)
 		} else {
-			res = core.Parallel(g, *k, core.Options{})
+			res, _ = core.ParallelCtx(context.Background(), g, *k, core.Options{})
 			fmt.Printf("parallel peel: %d rounds\n", res.Rounds)
 		}
 		fmt.Printf("%d-core: %d vertices, %d edges (empty=%v)\n",

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -61,15 +62,20 @@ func main() {
 		return
 	}
 
-	// Path 2 — pre-sized tables with the paper's parallel recovery, for
+	// Path 2 — pre-sized tables with the parallel subround recovery, for
 	// when the difference bound is known: B subtracts A's summary and
 	// peels it across all cores.
+	rt := repro.DefaultRuntime()
 	hostA := repro.NewIBLT(tableCells, 4, 99)
-	hostA.InsertAll(setA)
+	hostA.InsertAllWithPool(setA, rt.Pool())
 	hostB := repro.NewIBLT(tableCells, 4, 99)
-	hostB.InsertAll(setB)
+	hostB.InsertAllWithPool(setB, rt.Pool())
 	hostB.Subtract(hostA)
-	res := hostB.DecodeParallel()
+	res, err := rt.Decode(context.Background(), hostB)
+	if err != nil {
+		fmt.Println("decode failed:", err)
+		return
+	}
 	fmt.Printf("pre-sized table: complete=%v in %d rounds (%d subrounds), %d cells x 24 B = %d KiB\n",
 		res.Complete, res.Rounds, res.Subrounds, hostA.Cells(), hostA.Cells()*24/1024)
 	if !res.Complete || len(res.Added) != diffB || len(res.Removed) != diffA {

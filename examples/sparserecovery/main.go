@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -32,10 +33,11 @@ func main() {
 		}
 	}
 
+	rt := repro.DefaultRuntime()
 	table := repro.NewIBLT(cells, 4, 2014)
 	start := time.Now()
-	table.InsertAll(keys)             // N insertions
-	table.DeleteAll(keys[survivors:]) // N - n deletions
+	table.InsertAllWithPool(keys, rt.Pool())             // N insertions
+	table.DeleteAllWithPool(keys[survivors:], rt.Pool()) // N - n deletions
 	fmt.Printf("streamed %d inserts + %d deletes through %d cells in %v\n",
 		totalInserted, totalInserted-survivors, table.Cells(),
 		time.Since(start).Round(time.Millisecond))
@@ -43,7 +45,11 @@ func main() {
 		table.Load(survivors), 0.7723)
 
 	start = time.Now()
-	res := table.DecodeParallel()
+	res, err := rt.Decode(context.Background(), table)
+	if err != nil {
+		fmt.Println("RECOVERY FAILED:", err)
+		return
+	}
 	fmt.Printf("parallel recovery: complete=%v, %d keys in %d rounds, %v\n",
 		res.Complete, len(res.Added), res.Rounds, time.Since(start).Round(time.Millisecond))
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fountain"
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/recurrence"
 	"repro/internal/rng"
 	"repro/internal/threshold"
@@ -105,8 +106,8 @@ func TestIntegrationIBLTMatchesSubtablePeeling(t *testing.T) {
 			keys[i] = gen.Uint64()
 		}
 	}
-	tbl.InsertAll(keys)
-	res := tbl.DecodeParallel()
+	tbl.InsertAllWithPool(keys, parallel.Default())
+	res, _ := tbl.DecodeParallelCtx(context.Background(), parallel.Default())
 	if !res.Complete {
 		t.Fatal("IBLT decode failed below threshold")
 	}

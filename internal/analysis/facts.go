@@ -124,6 +124,9 @@ func NewFactStore() *FactStore {
 // not ignorance.
 func (s *FactStore) MarkAnalyzed(path string) { s.analyzed[path] = true }
 
+// unmarkAnalyzed undoes MarkAnalyzed, keeping path's facts.
+func (s *FactStore) unmarkAnalyzed(path string) { delete(s.analyzed, path) }
+
 // Analyzed reports whether pkg was analyzed; see MarkAnalyzed.
 func (s *FactStore) Analyzed(path string) bool { return s.analyzed[path] }
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -11,7 +12,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 )
 
 // This file implements the cmd/go vet-tool protocol, the peelvet
@@ -87,6 +87,13 @@ func RunUnitchecker(cfgPath string, analyzers []*Analyzer, stderr io.Writer) int
 		if err := store.DecodePackage(path, data); err != nil {
 			fmt.Fprintf(stderr, "peelvet: %v\n", err)
 			return ExitError
+		}
+		// cmd/go also runs the tool over standard-library dependencies,
+		// but standalone peelvet never analyzes them and detflow and
+		// hotalloc trust what was not analyzed. Keep their facts (e.g.
+		// Deprecated) but not the analyzed mark, so both modes agree.
+		if cfg.Standard[path] {
+			store.unmarkAnalyzed(path)
 		}
 	}
 
@@ -230,15 +237,22 @@ func newUnitImporter(fset *token.FileSet, cfg *vetConfig) types.Importer {
 }
 
 // PrintVersion implements the -V=full handshake cmd/go uses to build the
-// vet cache key. The output format ("name version ...") is prescribed;
-// the version token folds in the analyzer names so adding an analyzer
-// invalidates cached vet results.
+// vet cache key. The output format ("name version devel ... buildID=ID")
+// is prescribed; ID hashes the analyzer names and the running
+// executable, so rebuilding the tool with changed analyzer code
+// invalidates cached vet results and facts, as adding an analyzer does.
 func PrintVersion(w io.Writer, name string, analyzers []*Analyzer) {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
+	h := sha256.New()
+	for _, a := range analyzers {
+		io.WriteString(h, a.Name+"\n")
 	}
-	fmt.Fprintf(w, "%s version devel-%s buildID=none\n", name, strings.Join(names, "+"))
+	if exe, err := os.Executable(); err == nil {
+		if f, err := os.Open(exe); err == nil {
+			io.Copy(h, f)
+			f.Close()
+		}
+	}
+	fmt.Fprintf(w, "%s version devel buildID=%x\n", name, h.Sum(nil))
 }
 
 // PrintFlags implements the -flags handshake: cmd/go asks the tool which

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -115,5 +116,102 @@ func TestUnitcheckerVetxOnly(t *testing.T) {
 	}
 	if _, err := os.Stat(vetx); err != nil {
 		t.Errorf("VetxOutput not written: %v", err)
+	}
+}
+
+// TestUnitcheckerStandardLibraryTrusted pins detflow's trust boundary
+// under go vet. cmd/go runs the tool over standard-library dependencies
+// too and hands their facts to importers; a root calling fmt.Sprintf
+// must stay clean even when fmt's facts say "not deterministic" (as
+// runtime's GC selects make them), exactly as in standalone mode. A
+// root reaching a map range in another non-standard package through
+// its vetx facts must still be flagged.
+func TestUnitcheckerStandardLibraryTrusted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds export data with go list")
+	}
+	mod := t.TempDir()
+	writeFile(t, filepath.Join(mod, "go.mod"), "module tmpmod\n\ngo 1.24\n")
+	depSrc := filepath.Join(mod, "dep", "dep.go")
+	writeFile(t, depSrc, "package dep\n\nfunc Shuffled(m map[int]int) int {\n\tfor k := range m {\n\t\treturn k\n\t}\n\treturn 0\n}\n")
+	cmd := exec.Command("go", "list", "-export", "-f", "{{.ImportPath}} {{.Export}}", "fmt", "./dep")
+	cmd.Dir = mod
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, " ")
+		exports[path] = file
+	}
+
+	// The dependency unit runs VetxOnly, as cmd/go runs it.
+	depVetx := filepath.Join(mod, "dep.vetx")
+	runUnit(t, vetConfig{
+		ImportPath: "tmpmod/dep", GoFiles: []string{depSrc},
+		VetxOnly: true, VetxOutput: depVetx,
+	}, ExitClean)
+
+	// fmt's facts as go vet produces them: Sprintf reaches a select in
+	// the runtime.
+	std := NewFactStore()
+	std.put("fmt", "Sprintf", &Deterministic{Reason: "selects across channels at mgc.go:1815"})
+	data, err := std.EncodePackage("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmtVetx := filepath.Join(mod, "fmt.vetx")
+	writeFile(t, fmtVetx, string(data))
+
+	for _, tc := range []struct {
+		name, src string
+		want      int
+	}{
+		{"stdlib call trusted", "package root\n\nimport \"fmt\"\n\n//peelvet:deterministic\nfunc Label(n int) string { return fmt.Sprintf(\"%d\", n) }\n", ExitClean},
+		{"repo map range flagged", "package root\n\nimport \"tmpmod/dep\"\n\n//peelvet:deterministic\nfunc Pick(m map[int]int) int { return dep.Shuffled(m) }\n", ExitFindings},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := filepath.Join(t.TempDir(), "root.go")
+			writeFile(t, src, tc.src)
+			stderr := runUnit(t, vetConfig{
+				ImportPath:  "tmpmod/root",
+				GoFiles:     []string{src},
+				PackageFile: exports,
+				PackageVetx: map[string]string{"fmt": fmtVetx, "tmpmod/dep": depVetx},
+				Standard:    map[string]bool{"fmt": true},
+			}, tc.want)
+			if tc.want == ExitFindings && !strings.Contains(stderr, "ranges over a map") {
+				t.Errorf("finding does not name the map range: %s", stderr)
+			}
+		})
+	}
+}
+
+// runUnit writes cfg as a vet config, runs every analyzer over it and
+// checks the exit code, returning stderr.
+func runUnit(t *testing.T, cfg vetConfig, want int) string {
+	t.Helper()
+	cfg.Compiler = "gc"
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(t.TempDir(), "vet.cfg")
+	writeFile(t, cfgPath, string(data))
+	var stderr bytes.Buffer
+	if code := RunUnitchecker(cfgPath, Analyzers(), &stderr); code != want {
+		t.Fatalf("%s: exit = %d, want %d\nstderr: %s", cfg.ImportPath, code, want, stderr.String())
+	}
+	return stderr.String()
+}
+
+func writeFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -45,7 +46,7 @@ func TestPeelAbortsWithinOneRound(t *testing.T) {
 	}
 	n := 1 << 22
 	m := n * 7 / 10
-	g := hypergraph.Uniform(n, m, 3, rng.New(42))
+	g := hypergraph.Uniform(n, m, 3, rng.New(42), parallel.Default())
 
 	// Reference run: count the barriers of an uncanceled peel.
 	full := &barrierCtx{cancelAfter: 1 << 30}
@@ -75,20 +76,16 @@ func TestPeelAbortsWithinOneRound(t *testing.T) {
 	}
 }
 
-// TestSubtablesCtxCancel exercises the subround-barrier checks of both
-// subtable peelers.
+// TestSubtablesCtxCancel exercises the subround-barrier checks of the
+// subtable peeler.
 func TestSubtablesCtxCancel(t *testing.T) {
-	g := hypergraph.Partitioned(3*40000, 80000, 3, rng.New(7))
+	g := hypergraph.Partitioned(3*40000, 80000, 3, rng.New(7), parallel.Default())
 	for _, tc := range []struct {
 		name string
 		run  func(ctx context.Context) error
 	}{
 		{"Subtables", func(ctx context.Context) error {
 			_, err := SubtablesCtx(ctx, g, 2, Options{})
-			return err
-		}},
-		{"SubtablesOriented", func(ctx context.Context) error {
-			_, _, err := SubtablesOrientedCtx(ctx, g, 2, Options{})
 			return err
 		}},
 	} {
@@ -111,7 +108,7 @@ func TestSubtablesCtxCancel(t *testing.T) {
 // ordered peel: a context canceled after N barriers stops the peel at
 // the very next check, with zero further rounds of work.
 func TestParallelOrderCtxCancel(t *testing.T) {
-	g := hypergraph.Uniform(120000, 84000, 3, rng.New(8))
+	g := hypergraph.Uniform(120000, 84000, 3, rng.New(8), parallel.Default())
 	// Uncanceled: matches the ctx-free entry point and counts barriers.
 	full := &barrierCtx{cancelAfter: 1 << 30}
 	res, err := ParallelOrderCtx(full, g, 2, Options{})
@@ -131,20 +128,5 @@ func TestParallelOrderCtxCancel(t *testing.T) {
 	}
 	if got := cc.calls.Load(); got != 4 {
 		t.Fatalf("%d Err() calls after cancellation, want exactly 4", got)
-	}
-}
-
-// TestParallelCtxMatchesParallel checks the ctx path is a pure wrapper:
-// same rounds, history, and core as the ctx-free peeler.
-func TestParallelCtxMatchesParallel(t *testing.T) {
-	g := hypergraph.Uniform(60000, 42000, 3, rng.New(11))
-	want := Parallel(g, 2, Options{})
-	got, err := ParallelCtx(context.Background(), g, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rounds != want.Rounds || got.CoreVertices != want.CoreVertices || got.CoreEdges != want.CoreEdges {
-		t.Fatalf("ParallelCtx diverged: got rounds=%d core=(%d,%d), want rounds=%d core=(%d,%d)",
-			got.Rounds, got.CoreVertices, got.CoreEdges, want.Rounds, want.CoreVertices, want.CoreEdges)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestConcurrentPeelsSharedPool is the multi-tenant peeling contract: N
-// concurrent jobs run full peels (Parallel on both scan policies, plus
-// Subtables) on ONE shared pool, and every job must produce exactly the
+// concurrent jobs run full peels (ParallelCtx on both scan policies, plus
+// SubtablesCtx) on ONE shared pool, and every job must produce exactly the
 // single-tenant result for its graph — same rounds, same survivor
 // history, same core. Under -race this validates that the per-run round
 // buffers (per-worker shards indexed by pool worker IDs) stay private to
@@ -27,9 +27,9 @@ func TestConcurrentPeelsSharedPool(t *testing.T) {
 		g := uniformGraph(12000+500*j, 8400+350*j, 4, uint64(40+j))
 		pg := partitionedGraph(8000+400*j, 5600+280*j, 4, uint64(60+j))
 		ugraphs[j] = &want{
-			parF: Parallel(g, 2, Options{Scan: Frontier}),
-			parS: Parallel(g, 2, Options{Scan: FullScan}),
-			sub:  Subtables(pg, 2, Options{}),
+			parF: runParallel(g, 2, Options{Scan: Frontier}),
+			parS: runParallel(g, 2, Options{Scan: FullScan}),
+			sub:  runSubtables(pg, 2, Options{}),
 		}
 	}
 
@@ -44,9 +44,9 @@ func TestConcurrentPeelsSharedPool(t *testing.T) {
 				got  *Result
 				want *Result
 			}{
-				{"Parallel/Frontier", Parallel(g, 2, Options{Scan: Frontier, Pool: p}), ugraphs[j].parF},
-				{"Parallel/FullScan", Parallel(g, 2, Options{Scan: FullScan, Pool: p}), ugraphs[j].parS},
-				{"Subtables", Subtables(pg, 2, opts), ugraphs[j].sub},
+				{"Parallel/Frontier", runParallel(g, 2, Options{Scan: Frontier, Pool: p}), ugraphs[j].parF},
+				{"Parallel/FullScan", runParallel(g, 2, Options{Scan: FullScan, Pool: p}), ugraphs[j].parS},
+				{"Subtables", runSubtables(pg, 2, opts), ugraphs[j].sub},
 			}
 			for _, c := range checks {
 				if c.got.Rounds != c.want.Rounds || c.got.Subrounds != c.want.Subrounds {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/recurrence"
 	"repro/internal/rng"
 )
@@ -16,8 +17,8 @@ func TestRegularEnsembleNeverPeels(t *testing.T) {
 	// parallel peeling stops after at most a round of stragglers (the
 	// few vertices whose stubs were dropped by the matching remainder).
 	gen := rng.New(70)
-	g := hypergraph.ConfigurationModel(hypergraph.RegularDegrees(30000, 3), 3, gen)
-	res := Parallel(g, 2, Options{})
+	g := hypergraph.ConfigurationModel(hypergraph.RegularDegrees(30000, 3), 3, gen, parallel.Default())
+	res := runParallel(g, 2, Options{})
 	frac := float64(res.CoreVertices) / float64(g.N)
 	if frac < 0.99 {
 		t.Errorf("3-regular graph peeled down to %.3f of vertices; should be its own 2-core", frac)
@@ -30,8 +31,8 @@ func TestPoissonConfigPeelsLikeUniform(t *testing.T) {
 	// survivor trajectory must track the recurrence.
 	n, c, r := 200000, 0.7, 4
 	gen := rng.New(71)
-	g := hypergraph.ConfigurationModel(hypergraph.PoissonDegrees(n, float64(r)*c, gen), r, gen)
-	res := Parallel(g, 2, Options{})
+	g := hypergraph.ConfigurationModel(hypergraph.PoissonDegrees(n, float64(r)*c, gen), r, gen, parallel.Default())
+	res := runParallel(g, 2, Options{})
 	if !res.Empty() {
 		t.Fatal("Poisson configuration model failed to peel below threshold")
 	}
@@ -68,7 +69,7 @@ func TestBimodalEnsembleCoreStructure(t *testing.T) {
 		}
 	}
 	gen := rng.New(72)
-	g := hypergraph.ConfigurationModel(degs, 3, gen)
+	g := hypergraph.ConfigurationModel(degs, 3, gen, parallel.Default())
 	res := Sequential(g, 2)
 	// Edge density is (n/2·1 + n/2·5)/(3n) = 1.0 — above c*(2,3), so a
 	// large core must survive, concentrated on heavy vertices.

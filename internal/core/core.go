@@ -4,10 +4,10 @@
 //   - Sequential: the classic queue-driven greedy peel (linear time),
 //     which also produces the peel order and edge orientation that the
 //     downstream applications (IBLT, MPHF, XORSAT, cuckoo) consume.
-//   - Parallel: the round-synchronous process of Sections 3-4 — every
+//   - ParallelCtx: the round-synchronous process of Sections 3-4 — every
 //     round removes *all* vertices of degree < k simultaneously — run
 //     across goroutines with atomic edge claiming.
-//   - Subtables: the Appendix B variant used by the paper's GPU IBLT
+//   - SubtablesCtx: the Appendix B variant used by the paper's GPU IBLT
 //     implementation — each round consists of r subrounds, subround j
 //     peeling only subtable j, which guarantees no item is peeled twice.
 //
@@ -176,7 +176,7 @@ func Sequential(g *hypergraph.Hypergraph, k int) *SeqResult {
 		}
 	}
 	// Sequential peeling has no round structure; round counts come from
-	// the Parallel and Subtables peelers. Rounds stays 0 here.
+	// the ParallelCtx and SubtablesCtx peelers. Rounds stays 0 here.
 	s.finish(&res.Result)
 	return res
 }

@@ -1,17 +1,36 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/recurrence"
 	"repro/internal/rng"
 )
 
+// runParallel, runOrder and runSubtables run the ctx-checked peelers
+// under a context that is never canceled, where they cannot fail.
+func runParallel(g *hypergraph.Hypergraph, k int, opts Options) *Result {
+	res, _ := ParallelCtx(context.Background(), g, k, opts)
+	return res
+}
+
+func runOrder(g *hypergraph.Hypergraph, k int, opts Options) *OrderedResult {
+	res, _ := ParallelOrderCtx(context.Background(), g, k, opts)
+	return res
+}
+
+func runSubtables(g *hypergraph.Hypergraph, k int, opts Options) *Result {
+	res, _ := SubtablesCtx(context.Background(), g, k, opts)
+	return res
+}
+
 func uniformGraph(n, m, r int, seed uint64) *hypergraph.Hypergraph {
-	return hypergraph.Uniform(n, m, r, rng.New(seed))
+	return hypergraph.Uniform(n, m, r, rng.New(seed), parallel.Default())
 }
 
 func TestSequentialEmptyCoreBelowThreshold(t *testing.T) {
@@ -113,7 +132,7 @@ func TestParallelMatchesSequentialCore(t *testing.T) {
 		g := uniformGraph(cfg.n, cfg.m, cfg.r, cfg.seed)
 		seq := Sequential(g, cfg.k)
 		for _, scan := range []ScanPolicy{Frontier, FullScan} {
-			par := Parallel(g, cfg.k, Options{Scan: scan})
+			par := runParallel(g, cfg.k, Options{Scan: scan})
 			if par.CoreVertices != seq.CoreVertices || par.CoreEdges != seq.CoreEdges {
 				t.Errorf("cfg %+v scan %v: parallel core (%d,%d) != sequential (%d,%d)",
 					cfg, scan, par.CoreVertices, par.CoreEdges, seq.CoreVertices, seq.CoreEdges)
@@ -137,8 +156,8 @@ func TestParallelMatchesSequentialCore(t *testing.T) {
 
 func TestScanPoliciesAgreeOnRounds(t *testing.T) {
 	g := uniformGraph(50000, 35000, 4, 20)
-	a := Parallel(g, 2, Options{Scan: Frontier})
-	b := Parallel(g, 2, Options{Scan: FullScan})
+	a := runParallel(g, 2, Options{Scan: Frontier})
+	b := runParallel(g, 2, Options{Scan: FullScan})
 	if a.Rounds != b.Rounds {
 		t.Errorf("frontier rounds %d != full-scan rounds %d", a.Rounds, b.Rounds)
 	}
@@ -154,8 +173,8 @@ func TestScanPoliciesAgreeOnRounds(t *testing.T) {
 
 func TestParallelDeterministic(t *testing.T) {
 	g := uniformGraph(30000, 21000, 4, 21)
-	a := Parallel(g, 2, Options{})
-	b := Parallel(g, 2, Options{})
+	a := runParallel(g, 2, Options{})
+	b := runParallel(g, 2, Options{})
 	if a.Rounds != b.Rounds || a.CoreVertices != b.CoreVertices {
 		t.Errorf("two runs on the same graph disagree: rounds %d/%d cores %d/%d",
 			a.Rounds, b.Rounds, a.CoreVertices, b.CoreVertices)
@@ -170,7 +189,7 @@ func TestParallelDeterministic(t *testing.T) {
 func TestParallelRoundsMatchTable1(t *testing.T) {
 	// Table 1: r=4, k=2, c=0.7 converges to 13 rounds (12.983 at n=160k).
 	g := uniformGraph(160000, 112000, 4, 22)
-	res := Parallel(g, 2, Options{})
+	res := runParallel(g, 2, Options{})
 	if !res.Empty() {
 		t.Fatal("peeling failed below threshold")
 	}
@@ -185,7 +204,7 @@ func TestParallelSurvivorsMatchRecurrence(t *testing.T) {
 	n := 200000
 	for _, c := range []float64{0.7, 0.85} {
 		g := uniformGraph(n, int(c*float64(n)), 4, 23)
-		res := Parallel(g, 2, Options{})
+		res := runParallel(g, 2, Options{})
 		pred, err := recurrence.Params{K: 2, R: 4, C: c}.Trace(res.Rounds)
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +230,7 @@ func TestParallelRoundGrowthRegimes(t *testing.T) {
 	// c=0.85 column climbs ~13 -> ~17.3 while c=0.7 stays ~12.8 -> 13.0.
 	nSmall, nLarge := 40000, 640000
 	rounds := func(c float64, n int, seed uint64) int {
-		res := Parallel(uniformGraph(n, int(c*float64(n)), 4, seed), 2, Options{})
+		res := runParallel(uniformGraph(n, int(c*float64(n)), 4, seed), 2, Options{})
 		return res.Rounds
 	}
 	belowDelta := rounds(0.7, nLarge, 24) - rounds(0.7, nSmall, 25)
@@ -226,7 +245,7 @@ func TestParallelRoundGrowthRegimes(t *testing.T) {
 
 func TestSurvivorHistoryMonotone(t *testing.T) {
 	g := uniformGraph(50000, 40000, 4, 26)
-	res := Parallel(g, 2, Options{})
+	res := runParallel(g, 2, Options{})
 	prev := g.N
 	for i, s := range res.SurvivorHistory {
 		if s > prev || s < res.CoreVertices {
@@ -242,8 +261,8 @@ func TestSurvivorHistoryMonotone(t *testing.T) {
 
 func TestEmptyGraphAndNoEdges(t *testing.T) {
 	// m = 0: every vertex is isolated and is removed in round 1.
-	g := hypergraph.Uniform(100, 0, 3, rng.New(27))
-	res := Parallel(g, 2, Options{})
+	g := hypergraph.Uniform(100, 0, 3, rng.New(27), parallel.Default())
+	res := runParallel(g, 2, Options{})
 	if !res.Empty() || res.Rounds != 1 {
 		t.Errorf("m=0: rounds %d, core (%d,%d); want 1 round, empty",
 			res.Rounds, res.CoreVertices, res.CoreEdges)
@@ -257,7 +276,7 @@ func TestEmptyGraphAndNoEdges(t *testing.T) {
 func TestKOne(t *testing.T) {
 	// k = 1 removes only isolated vertices; every edge survives.
 	g := uniformGraph(1000, 700, 3, 28)
-	res := Parallel(g, 1, Options{})
+	res := runParallel(g, 1, Options{})
 	if res.CoreEdges != g.M {
 		t.Errorf("k=1 removed %d edges", g.M-res.CoreEdges)
 	}
@@ -279,12 +298,12 @@ func TestBadKPanics(t *testing.T) {
 			t.Error("k=0 did not panic")
 		}
 	}()
-	Parallel(g, 0, Options{})
+	runParallel(g, 0, Options{})
 }
 
 func TestMaxRoundsCap(t *testing.T) {
 	g := uniformGraph(50000, 35000, 4, 30)
-	res := Parallel(g, 2, Options{MaxRounds: 3})
+	res := runParallel(g, 2, Options{MaxRounds: 3})
 	if res.Rounds > 3 {
 		t.Errorf("rounds %d exceeded cap 3", res.Rounds)
 	}
@@ -300,10 +319,10 @@ func TestConfluenceQuick(t *testing.T) {
 		n := int(nRaw%300) + 10
 		m := int(mRaw % 500)
 		k := int(kRaw%4) + 1
-		g := hypergraph.Uniform(n, m, 3, rng.New(seed))
+		g := hypergraph.Uniform(n, m, 3, rng.New(seed), parallel.Default())
 		seq := Sequential(g, k)
-		par := Parallel(g, k, Options{Scan: Frontier})
-		full := Parallel(g, k, Options{Scan: FullScan})
+		par := runParallel(g, k, Options{Scan: Frontier})
+		full := runParallel(g, k, Options{Scan: FullScan})
 		if seq.CoreVertices != par.CoreVertices || par.CoreVertices != full.CoreVertices {
 			return false
 		}
@@ -333,7 +352,7 @@ func BenchmarkParallelPeelFrontier(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Parallel(g, 2, Options{Scan: Frontier})
+		runParallel(g, 2, Options{Scan: Frontier})
 	}
 }
 
@@ -342,6 +361,6 @@ func BenchmarkParallelPeelFullScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Parallel(g, 2, Options{Scan: FullScan})
+		runParallel(g, 2, Options{Scan: FullScan})
 	}
 }

@@ -5,12 +5,13 @@ import (
 	"testing/quick"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
 func TestDepthsMatchParallelRounds(t *testing.T) {
 	g := uniformGraph(60000, 42000, 4, 60)
-	par := Parallel(g, 2, Options{})
+	par := runParallel(g, 2, Options{})
 	depth := Depths(g, 2)
 
 	maxDepth := int32(0)
@@ -63,9 +64,9 @@ func TestDepthsQuickAgainstParallel(t *testing.T) {
 		n := int(nRaw%300) + 10
 		m := int(mRaw % 400)
 		k := int(kRaw%3) + 1
-		g := hypergraph.Uniform(n, m, 3, rng.New(seed))
+		g := hypergraph.Uniform(n, m, 3, rng.New(seed), parallel.Default())
 		depth := Depths(g, k)
-		par := Parallel(g, k, Options{})
+		par := runParallel(g, k, Options{})
 		maxD := 0
 		for v := 0; v < n; v++ {
 			if (depth[v] == InCore) != (par.VertexAlive[v] != 0) {
@@ -125,7 +126,7 @@ func TestCorenessQuick(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16) bool {
 		n := int(nRaw%200) + 10
 		m := int(mRaw % 400)
-		g := hypergraph.Uniform(n, m, 3, rng.New(seed))
+		g := hypergraph.Uniform(n, m, 3, rng.New(seed), parallel.Default())
 		coreness := Coreness(g)
 		// Check against direct peeling at k = 2 and k = 3.
 		for _, k := range []int{2, 3} {
@@ -145,8 +146,8 @@ func TestCorenessQuick(t *testing.T) {
 
 func TestSubtableFullScanAgrees(t *testing.T) {
 	g := partitionedGraph(60000, 42000, 4, 63)
-	a := Subtables(g, 2, Options{Scan: Frontier})
-	b := Subtables(g, 2, Options{Scan: FullScan})
+	a := runSubtables(g, 2, Options{Scan: Frontier})
+	b := runSubtables(g, 2, Options{Scan: FullScan})
 	if a.Subrounds != b.Subrounds || a.Rounds != b.Rounds {
 		t.Errorf("scan policies disagree: subrounds %d/%d rounds %d/%d",
 			a.Subrounds, b.Subrounds, a.Rounds, b.Rounds)
@@ -173,7 +174,7 @@ func TestDuplicateEdgesHandled(t *testing.T) {
 	if seq.CoreVertices != 3 || seq.CoreEdges != 2 {
 		t.Errorf("core (%d,%d), want (3,2)", seq.CoreVertices, seq.CoreEdges)
 	}
-	par := Parallel(g, 2, Options{})
+	par := runParallel(g, 2, Options{})
 	if par.CoreVertices != 3 || par.CoreEdges != 2 {
 		t.Errorf("parallel core (%d,%d), want (3,2)", par.CoreVertices, par.CoreEdges)
 	}

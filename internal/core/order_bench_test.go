@@ -13,12 +13,12 @@ import (
 // BenchmarkOrderedPeel compares the three sources of a peel on the same
 // below-threshold instance: the sequential queue peel (the only source
 // of PeelOrder/FreeVertex before the ordered peel existed), the plain
-// round-synchronous Parallel peel (no ordering artifacts), and
-// ParallelOrder at several pool sizes — the number the builders' retry
+// round-synchronous ParallelCtx peel (no ordering artifacts), and
+// ParallelOrderCtx at several pool sizes — the number the builders' retry
 // loops now pay per attempt — against the CSR ordered peel it replaced
 // at k = 2 (OrderedCSR, which excludes the CSR build itself).
 func BenchmarkOrderedPeel(b *testing.B) {
-	g := hypergraph.Uniform(1<<19, 390000, 3, rng.New(1)) // c ≈ 0.74 < c*(2,3)
+	g := hypergraph.Uniform(1<<19, 390000, 3, rng.New(1), parallel.Default()) // c ≈ 0.74 < c*(2,3)
 	b.Run("Sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if res := Sequential(g, 2); !res.Empty() {
@@ -31,14 +31,14 @@ func BenchmarkOrderedPeel(b *testing.B) {
 		opts := Options{Pool: pool}
 		b.Run(fmt.Sprintf("Parallel/W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if res := Parallel(g, 2, opts); !res.Empty() {
+				if res := runParallel(g, 2, opts); !res.Empty() {
 					b.Fatal("peel failed")
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("Ordered/W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if res := ParallelOrder(g, 2, opts); !res.Empty() {
+				if res := runOrder(g, 2, opts); !res.Empty() {
 					b.Fatal("peel failed")
 				}
 			}

@@ -12,7 +12,7 @@ import (
 )
 
 // TestParallelOrderMatchesParallel checks the ordered peel computes the
-// same peeling process as Parallel — identical rounds, survivor history,
+// same peeling process as ParallelCtx — identical rounds, survivor history,
 // and k-core — and the same peeled edge set as Sequential (peeling is
 // confluent), on below- and above-threshold instances.
 func TestParallelOrderMatchesParallel(t *testing.T) {
@@ -21,14 +21,14 @@ func TestParallelOrderMatchesParallel(t *testing.T) {
 		g    *hypergraph.Hypergraph
 		k    int
 	}{
-		{"below-threshold", hypergraph.Uniform(60000, 42000, 3, rng.New(11)), 2},
-		{"above-threshold", hypergraph.Uniform(40000, 36000, 3, rng.New(12)), 2},
-		{"k3", hypergraph.Uniform(30000, 36000, 4, rng.New(13)), 3},
-		{"partitioned", hypergraph.Partitioned(3*20000, 44000, 3, rng.New(14)), 2},
+		{"below-threshold", hypergraph.Uniform(60000, 42000, 3, rng.New(11), parallel.Default()), 2},
+		{"above-threshold", hypergraph.Uniform(40000, 36000, 3, rng.New(12), parallel.Default()), 2},
+		{"k3", hypergraph.Uniform(30000, 36000, 4, rng.New(13), parallel.Default()), 3},
+		{"partitioned", hypergraph.Partitioned(3*20000, 44000, 3, rng.New(14), parallel.Default()), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := Parallel(tc.g, tc.k, Options{})
-			ord := ParallelOrder(tc.g, tc.k, Options{})
+			want := runParallel(tc.g, tc.k, Options{})
+			ord := runOrder(tc.g, tc.k, Options{})
 			if ord.Rounds != want.Rounds || ord.CoreVertices != want.CoreVertices || ord.CoreEdges != want.CoreEdges {
 				t.Fatalf("ordered peel diverged: got rounds=%d core=(%d,%d), want rounds=%d core=(%d,%d)",
 					ord.Rounds, ord.CoreVertices, ord.CoreEdges, want.Rounds, want.CoreVertices, want.CoreEdges)
@@ -56,8 +56,8 @@ func TestParallelOrderMatchesParallel(t *testing.T) {
 // the same count — scheduling and shard-drain order must not leak into
 // the result.
 func TestParallelOrderDeterministic(t *testing.T) {
-	g := hypergraph.Uniform(80000, 60000, 3, rng.New(21))
-	ref := ParallelOrder(g, 2, Options{})
+	g := hypergraph.Uniform(80000, 60000, 3, rng.New(21), parallel.Default())
+	ref := runOrder(g, 2, Options{})
 	if !ref.Empty() {
 		t.Fatal("instance unexpectedly above threshold")
 	}
@@ -78,13 +78,13 @@ func TestParallelOrderDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		check("workers=1st", ParallelOrder(g, 2, Options{Pool: pool}))
-		check("workers=2nd", ParallelOrder(g, 2, Options{Pool: pool}))
+		check("workers=1st", runOrder(g, 2, Options{Pool: pool}))
+		check("workers=2nd", runOrder(g, 2, Options{Pool: pool}))
 		pool.Close()
 	}
 	// FullScan must agree with Frontier: the scan policy selects how
 	// Phase A finds candidates, not what the process removes.
-	check("fullscan", ParallelOrder(g, 2, Options{Scan: FullScan}))
+	check("fullscan", runOrder(g, 2, Options{Scan: FullScan}))
 }
 
 // TestParallelOrderEliminationProperty is the property test: reverse
@@ -96,12 +96,12 @@ func TestParallelOrderEliminationProperty(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16, fullScan bool) bool {
 		n := int(nRaw%5000) + 10
 		m := int(mRaw) % (n + n/2)
-		g := hypergraph.Uniform(n, m, 3, rng.New(seed))
+		g := hypergraph.Uniform(n, m, 3, rng.New(seed), parallel.Default())
 		opts := Options{}
 		if fullScan {
 			opts.Scan = FullScan
 		}
-		ord := ParallelOrder(g, 2, opts)
+		ord := runOrder(g, 2, opts)
 		if err := ValidateEliminationOrder(g, ord, 2); err != nil {
 			t.Logf("n=%d m=%d seed=%d: %v", n, m, seed, err)
 			return false
@@ -117,9 +117,9 @@ func TestParallelOrderEliminationProperty(t *testing.T) {
 // fully-core graphs.
 func TestParallelOrderEdgeCases(t *testing.T) {
 	// No edges: the isolated vertices peel in one round (matching
-	// Parallel), releasing nothing.
+	// ParallelCtx), releasing nothing.
 	g := hypergraph.FromEdges(10, 2, nil, 0)
-	ord := ParallelOrder(g, 2, Options{})
+	ord := runOrder(g, 2, Options{})
 	if !ord.Empty() || len(ord.PeelOrder) != 0 || ord.Rounds != 1 || len(ord.RoundStart) != 2 {
 		t.Fatalf("edgeless graph: rounds=%d order=%d start=%v", ord.Rounds, len(ord.PeelOrder), ord.RoundStart)
 	}
@@ -127,7 +127,7 @@ func TestParallelOrderEdgeCases(t *testing.T) {
 	// nothing peels at k=2, everything is core.
 	edges := []uint32{0, 1, 1, 2, 2, 0}
 	g = hypergraph.FromEdges(3, 2, edges, 0)
-	ord = ParallelOrder(g, 2, Options{})
+	ord = runOrder(g, 2, Options{})
 	if ord.Rounds != 0 || ord.CoreEdges != 3 || len(ord.PeelOrder) != 0 {
 		t.Fatalf("full-core graph peeled: rounds=%d core=%d", ord.Rounds, ord.CoreEdges)
 	}
@@ -147,7 +147,7 @@ func TestParallelOrderEdgeCases(t *testing.T) {
 // round-1 candidates.
 func TestParallelOrderMinClaim(t *testing.T) {
 	g := hypergraph.FromEdges(5, 2, []uint32{4, 2}, 0)
-	ord := ParallelOrder(g, 2, Options{})
+	ord := runOrder(g, 2, Options{})
 	if !ord.Empty() || len(ord.PeelOrder) != 1 {
 		t.Fatalf("single edge did not peel: %+v", ord.Result)
 	}

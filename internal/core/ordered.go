@@ -17,7 +17,7 @@ import (
 // PeelOrder is round-major: round 1's edges first, then round 2's, and
 // so on, with each round's segment sorted by edge id at the round
 // barrier. Together with the minimum-endpoint claim rule of
-// ParallelOrder this makes the whole result bit-stable: a given graph
+// ParallelOrderCtx this makes the whole result bit-stable: a given graph
 // and k produce identical PeelOrder, FreeVertex, and RoundOf at every
 // worker count and on every run.
 //
@@ -60,14 +60,14 @@ func (r *OrderedResult) RoundSegment(t int) []uint32 {
 	return r.PeelOrder[r.RoundStart[t-1]:r.RoundStart[t]]
 }
 
-// ParallelOrder runs the round-synchronous peeling process of Parallel
-// and additionally produces the peel order and edge orientation that
+// ParallelOrderCtx runs the round-synchronous peeling process of
+// ParallelCtx and additionally produces the peel order and edge orientation that
 // Sequential used to be the only (serial) source of — the artifacts the
 // MPHF and Bloomier builders consume. See OrderedResult for the
 // determinism and elimination-order contracts: when several endpoints
 // of an edge peel in the same round, the minimum vertex id frees it, so
 // the orientation is identical at every worker count, and the Result
-// fields (rounds, history, core) are identical to Parallel's.
+// fields (rounds, history, core) are identical to ParallelCtx's.
 //
 // For k = 2 — every application in this repository — the peel runs on
 // g.Edges alone through ParallelOrderEdgesCtx, which never reads the
@@ -82,15 +82,10 @@ func (r *OrderedResult) RoundSegment(t int) []uint32 {
 // instead.) PeelOrder is reconstructed after the last round with a
 // counting sort over the round tags, which yields every segment
 // already sorted by edge id — O(m) instead of per-round sorting.
-func ParallelOrder(g *hypergraph.Hypergraph, k int, opts Options) *OrderedResult {
-	res, _ := ParallelOrderCtx(context.Background(), g, k, opts)
-	return res
-}
-
-// ParallelOrderCtx is ParallelOrder with cooperative cancellation,
-// checked once at every round barrier like ParallelCtx: a canceled peel
-// stops within one round of extra work and returns (nil, ctx.Err()),
-// abandoning the partial state.
+//
+// Cancellation is checked once at every round barrier, as in
+// ParallelCtx: a canceled peel stops within one round of extra work and
+// returns (nil, ctx.Err()), abandoning the partial state.
 //
 //peelvet:deterministic
 func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options) (*OrderedResult, error) {

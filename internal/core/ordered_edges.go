@@ -30,7 +30,7 @@ import (
 // No decrement takes a peeled vertex to degree 1: it has at most one
 // live edge left, which it frees itself (its word is never touched
 // again) or loses in its own round (1 → 0). So the collected set is
-// exactly Parallel's peel set, with no dedup marks and no dead flags.
+// exactly ParallelCtx's peel set, with no dedup marks and no dead flags.
 // Phase B keeps the two sub-phases of the CSR peel: every degree-1
 // vertex of the peel set bids for its edge with claimMin, then the
 // winner settles the edge (round tag, then the atomic add on every

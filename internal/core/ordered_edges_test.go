@@ -53,8 +53,8 @@ func TestParallelOrderEdgesMatchesCSR(t *testing.T) {
 	for i, c := range []float64{0.70, 0.813, 0.83, 0.90} {
 		m := int(c * n)
 		graphs = append(graphs,
-			namedGraph{fmt.Sprintf("partitioned-r3-c%.3f", c), hypergraph.Partitioned(n, m, 3, rng.New(uint64(40+i)))},
-			namedGraph{fmt.Sprintf("uniform-r4-c%.3f", c), hypergraph.Uniform(n, m, 4, rng.New(uint64(50+i)))})
+			namedGraph{fmt.Sprintf("partitioned-r3-c%.3f", c), hypergraph.Partitioned(n, m, 3, rng.New(uint64(40+i)), parallel.Default())},
+			namedGraph{fmt.Sprintf("uniform-r4-c%.3f", c), hypergraph.Uniform(n, m, 4, rng.New(uint64(50+i)), parallel.Default())})
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		pool := parallel.NewPool(workers)
@@ -95,7 +95,7 @@ func TestParallelOrderEdgesRepeatedVertex(t *testing.T) {
 		}
 		pool.Close()
 	}
-	ord := ParallelOrder(g, 2, Options{})
+	ord := runOrder(g, 2, Options{})
 	if ord.CoreEdges != 1 || ord.CoreVertices != 1 || ord.VertexAlive[6] != 1 {
 		t.Fatalf("core = (%d vertices, %d edges), want only the self-loop on vertex 6", ord.CoreVertices, ord.CoreEdges)
 	}
@@ -105,7 +105,7 @@ func TestParallelOrderEdgesRepeatedVertex(t *testing.T) {
 // the same round barrier: both stop there, with the same number of
 // Err() calls, and return no result.
 func TestParallelOrderEdgesCtxCancel(t *testing.T) {
-	g := hypergraph.Partitioned(3*20000, 48000, 3, rng.New(9))
+	g := hypergraph.Partitioned(3*20000, 48000, 3, rng.New(9), parallel.Default())
 	for _, workers := range []int{1, 2} {
 		pool := parallel.NewPool(workers)
 		for _, after := range []int64{0, 1, 3} {

@@ -26,7 +26,7 @@ const (
 	FullScan
 )
 
-// Options configure the Parallel peeler.
+// Options configure the parallel peelers.
 type Options struct {
 	Scan      ScanPolicy
 	MaxRounds int // 0 means Deadline
@@ -175,7 +175,7 @@ func (l *roundLoop) advance() {
 	}
 }
 
-// Parallel runs the round-synchronous peeling process of the paper on g:
+// ParallelCtx runs the round-synchronous peeling process of the paper on g:
 // in each round, every vertex with degree < k is removed together with
 // its incident edges, all in parallel. The returned Result carries the
 // per-round survivor counts (Table 2's "Experiment" column) and the
@@ -196,14 +196,9 @@ func (l *roundLoop) advance() {
 // merged at the round barrier — there is no locking anywhere in the
 // round loop, and the shards are reused across rounds, which matters in
 // the small-frontier tail where a round does little work.
-func Parallel(g *hypergraph.Hypergraph, k int, opts Options) *Result {
-	res, _ := ParallelCtx(context.Background(), g, k, opts)
-	return res
-}
-
-// ParallelCtx is Parallel with cooperative cancellation: the context is
-// checked at every round barrier, so a canceled peel stops within one
-// round of extra work — the O(log log n) round structure is what makes
+//
+// The context is checked at every round barrier, so a canceled peel
+// stops within one round of extra work — the O(log log n) round structure is what makes
 // this cheap (a single check per barrier, no polling inside the phases).
 // On cancellation it returns (nil, ctx.Err()); the partially peeled
 // state is abandoned. A context that can never be canceled adds no

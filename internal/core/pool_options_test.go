@@ -16,8 +16,8 @@ func TestParallelWorkersOption(t *testing.T) {
 	shared := parallel.NewPool(3)
 	defer shared.Close()
 	for _, scan := range []ScanPolicy{Frontier, FullScan} {
-		base := Parallel(g, 2, Options{Scan: scan})
-		got := Parallel(g, 2, Options{Scan: scan, Pool: shared})
+		base := runParallel(g, 2, Options{Scan: scan})
+		got := runParallel(g, 2, Options{Scan: scan, Pool: shared})
 		if got.Rounds != base.Rounds {
 			t.Errorf("scan %v: rounds %d != %d", scan, got.Rounds, base.Rounds)
 		}
@@ -43,15 +43,14 @@ func TestParallelWorkersOption(t *testing.T) {
 	}
 }
 
-// TestSubtablesWorkersOption checks the same for the subtable peelers: a
-// resized pool must not change subrounds, history, or the orientation's
-// validity.
+// TestSubtablesWorkersOption checks the same for the subtable peeler: a
+// resized pool must not change subrounds or history.
 func TestSubtablesWorkersOption(t *testing.T) {
 	g := partitionedGraph(20000, 14000, 4, 31)
 	pool := parallel.NewPool(3)
 	defer pool.Close()
-	base := Subtables(g, 2, Options{})
-	got := Subtables(g, 2, Options{Pool: pool})
+	base := runSubtables(g, 2, Options{})
+	got := runSubtables(g, 2, Options{Pool: pool})
 	if got.Subrounds != base.Subrounds || got.Rounds != base.Rounds {
 		t.Errorf("subrounds/rounds (%d,%d) != (%d,%d)",
 			got.Subrounds, got.Rounds, base.Subrounds, base.Rounds)
@@ -61,13 +60,5 @@ func TestSubtablesWorkersOption(t *testing.T) {
 			t.Errorf("subround %d: survivors %d != %d",
 				i+1, got.SurvivorHistory[i], base.SurvivorHistory[i])
 		}
-	}
-
-	res, orient := SubtablesOriented(g, 2, Options{Pool: pool})
-	if res.Subrounds != base.Subrounds {
-		t.Errorf("oriented subrounds %d != %d", res.Subrounds, base.Subrounds)
-	}
-	if !ValidateOrientation(g, orient, 2) {
-		t.Error("orientation invalid under resized pool")
 	}
 }

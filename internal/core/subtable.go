@@ -8,7 +8,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// Subtables runs the Appendix B peeling variant on a partitioned
+// SubtablesCtx runs the Appendix B peeling variant on a partitioned
 // hypergraph: each round consists of r subrounds, and subround j removes,
 // in parallel, every subtable-j vertex whose degree is < k. Because each
 // edge touches subtable j in exactly one vertex, no two threads in a
@@ -21,18 +21,11 @@ import (
 // records the survivor count after every executed subround
 // (Result.SurvivorHistory, Table 6's "Experiment" column).
 //
-// g must be partitioned (hypergraph.Partitioned); Subtables panics
-// otherwise.
-func Subtables(g *hypergraph.Hypergraph, k int, opts Options) *Result {
-	res, _ := SubtablesCtx(context.Background(), g, k, opts)
-	return res
-}
-
-// SubtablesCtx is Subtables with cooperative cancellation, checked at
-// every subround barrier (a finer grain than the full-round barrier of
-// ParallelCtx, matching the subround structure). On cancellation it
-// returns (nil, ctx.Err()). Panics if g is not partitioned — the
-// subround schedule is meaningless without subtables.
+// Cancellation is checked at every subround barrier (a finer grain than
+// the full-round barrier of ParallelCtx, matching the subround
+// structure). On cancellation it returns (nil, ctx.Err()). Panics if g
+// is not partitioned (hypergraph.Partitioned) — the subround schedule
+// is meaningless without subtables.
 func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options) (*Result, error) {
 	if g.SubtableSize == 0 {
 		panic("core: Subtables requires a partitioned hypergraph")
@@ -54,7 +47,7 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 	alive := g.N
 	eclaim := parallel.NewBitset(g.M)
 
-	// Per-subtable frontiers with epoch dedup, mirroring the Parallel
+	// Per-subtable frontiers with epoch dedup, mirroring the ParallelCtx
 	// peeler. frontiers[j] holds candidates from subtable j. Freed
 	// candidates are collected per worker and per target subtable
 	// (nextShards[w][j]) and merged into the frontiers at the subround

@@ -6,12 +6,13 @@ import (
 	"testing/quick"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/recurrence"
 	"repro/internal/rng"
 )
 
 func partitionedGraph(n, m, r int, seed uint64) *hypergraph.Hypergraph {
-	return hypergraph.Partitioned(n, m, r, rng.New(seed))
+	return hypergraph.Partitioned(n, m, r, rng.New(seed), parallel.Default())
 }
 
 func TestSubtablesMatchesSequentialCore(t *testing.T) {
@@ -25,7 +26,7 @@ func TestSubtablesMatchesSequentialCore(t *testing.T) {
 	} {
 		g := partitionedGraph(cfg.n, cfg.m, cfg.r, cfg.seed)
 		seq := Sequential(g, cfg.k)
-		sub := Subtables(g, cfg.k, Options{})
+		sub := runSubtables(g, cfg.k, Options{})
 		if sub.CoreVertices != seq.CoreVertices || sub.CoreEdges != seq.CoreEdges {
 			t.Errorf("cfg %+v: subtable core (%d,%d) != sequential (%d,%d)",
 				cfg, sub.CoreVertices, sub.CoreEdges, seq.CoreVertices, seq.CoreEdges)
@@ -42,13 +43,13 @@ func TestSubtablesMatchesSequentialCore(t *testing.T) {
 }
 
 func TestSubtablesRequiresPartitioned(t *testing.T) {
-	g := hypergraph.Uniform(1000, 700, 4, rng.New(43))
+	g := hypergraph.Uniform(1000, 700, 4, rng.New(43), parallel.Default())
 	defer func() {
 		if recover() == nil {
 			t.Error("Subtables on unpartitioned graph did not panic")
 		}
 	}()
-	Subtables(g, 2, Options{})
+	runSubtables(g, 2, Options{})
 }
 
 func TestSubroundsMatchTable5(t *testing.T) {
@@ -56,14 +57,14 @@ func TestSubroundsMatchTable5(t *testing.T) {
 	// count is well below r × the ~13 plain rounds).
 	n := 160000
 	g := partitionedGraph(n, int(0.7*float64(n)), 4, 44)
-	res := Subtables(g, 2, Options{})
+	res := runSubtables(g, 2, Options{})
 	if !res.Empty() {
 		t.Fatal("subtable peeling failed below threshold")
 	}
 	if res.Subrounds < 24 || res.Subrounds > 29 {
 		t.Errorf("subrounds = %d, want ~26-27 (Table 5)", res.Subrounds)
 	}
-	plain := Parallel(g, 2, Options{})
+	plain := runParallel(g, 2, Options{})
 	if float64(res.Subrounds) >= 4*float64(plain.Rounds) {
 		t.Errorf("subrounds %d not below r×rounds = %d", res.Subrounds, 4*plain.Rounds)
 	}
@@ -75,7 +76,7 @@ func TestSubtableSurvivorsMatchRecurrence(t *testing.T) {
 	n := 200000
 	c := 0.7
 	g := partitionedGraph(n, int(c*float64(n)), 4, 45)
-	res := Subtables(g, 2, Options{})
+	res := runSubtables(g, 2, Options{})
 	pred, err := recurrence.Params{K: 2, R: 4, C: c}.SubtableTrace(7)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +97,8 @@ func TestSubtablesFasterThanNaiveSerialization(t *testing.T) {
 	// ratio lands in a sensible band on a concrete instance.
 	n := 160000
 	g := partitionedGraph(n, int(0.7*float64(n)), 4, 46)
-	sub := Subtables(g, 2, Options{})
-	plain := Parallel(g, 2, Options{})
+	sub := runSubtables(g, 2, Options{})
+	plain := runParallel(g, 2, Options{})
 	ratio := float64(sub.Subrounds) / float64(plain.Rounds)
 	if ratio < 1.2 || ratio > 3.0 {
 		t.Errorf("subround/round ratio %.2f outside plausible band (sub=%d plain=%d)",
@@ -107,7 +108,7 @@ func TestSubtablesFasterThanNaiveSerialization(t *testing.T) {
 
 func TestSubtableHistoryMonotone(t *testing.T) {
 	g := partitionedGraph(40000, 28000, 4, 47)
-	res := Subtables(g, 2, Options{})
+	res := runSubtables(g, 2, Options{})
 	prev := g.N
 	for i, s := range res.SurvivorHistory {
 		if s > prev {
@@ -122,8 +123,8 @@ func TestSubtableHistoryMonotone(t *testing.T) {
 
 func TestSubtableDeterministic(t *testing.T) {
 	g := partitionedGraph(40000, 28000, 4, 48)
-	a := Subtables(g, 2, Options{})
-	b := Subtables(g, 2, Options{})
+	a := runSubtables(g, 2, Options{})
+	b := runSubtables(g, 2, Options{})
 	if a.Subrounds != b.Subrounds || a.CoreVertices != b.CoreVertices {
 		t.Errorf("two subtable runs disagree: subrounds %d/%d", a.Subrounds, b.Subrounds)
 	}
@@ -137,7 +138,7 @@ func TestSubtableDeterministic(t *testing.T) {
 func TestSubtableAboveThreshold(t *testing.T) {
 	n := 40000
 	g := partitionedGraph(n, int(0.85*float64(n)), 4, 49)
-	res := Subtables(g, 2, Options{})
+	res := runSubtables(g, 2, Options{})
 	if res.Empty() {
 		t.Fatal("above-threshold subtable peel emptied the core")
 	}
@@ -152,9 +153,9 @@ func TestSubtableConfluenceQuick(t *testing.T) {
 		n := 300 // divisible by 3
 		m := int(mRaw % 400)
 		k := int(kRaw%3) + 1
-		g := hypergraph.Partitioned(n, m, 3, rng.New(seed))
+		g := hypergraph.Partitioned(n, m, 3, rng.New(seed), parallel.Default())
 		seq := Sequential(g, k)
-		sub := Subtables(g, k, Options{})
+		sub := runSubtables(g, k, Options{})
 		if seq.CoreVertices != sub.CoreVertices || seq.CoreEdges != sub.CoreEdges {
 			return false
 		}
@@ -175,6 +176,6 @@ func BenchmarkSubtablePeel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Subtables(g, 2, Options{})
+		runSubtables(g, 2, Options{})
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
 func graph(n, m, r int, seed uint64) *hypergraph.Hypergraph {
-	return hypergraph.Partitioned(n, m, r, rng.New(seed))
+	return hypergraph.Partitioned(n, m, r, rng.New(seed), parallel.Default())
 }
 
 func TestPeelingPlacementBelowThreshold(t *testing.T) {

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/cuckoo"
 	"repro/internal/hypergraph"
 	"repro/internal/iblt"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/xorsat"
 )
@@ -42,15 +45,15 @@ type ScanAblationRow struct {
 func RunScanAblation(cfg ScanAblationConfig) []ScanAblationRow {
 	var rows []ScanAblationRow
 	for _, n := range cfg.Ns {
-		g := hypergraph.Uniform(n, int(cfg.C*float64(n)), cfg.R, rng.New(cfg.Seed^uint64(n)))
+		g := hypergraph.Uniform(n, int(cfg.C*float64(n)), cfg.R, rng.New(cfg.Seed^uint64(n)), parallel.Default())
 		row := ScanAblationRow{N: n}
 		for trial := 0; trial < cfg.Trials; trial++ {
 			start := time.Now()
-			res := core.Parallel(g, cfg.K, core.Options{Scan: core.Frontier})
+			res, _ := core.ParallelCtx(context.Background(), g, cfg.K, core.Options{Scan: core.Frontier})
 			row.Frontier += time.Since(start)
 			row.Rounds = res.Rounds
 			start = time.Now()
-			core.Parallel(g, cfg.K, core.Options{Scan: core.FullScan})
+			core.ParallelCtx(context.Background(), g, cfg.K, core.Options{Scan: core.FullScan})
 			row.FullScan += time.Since(start)
 		}
 		row.Frontier /= time.Duration(cfg.Trials)
@@ -115,7 +118,7 @@ func RunCuckooSweep(cfg CuckooSweepConfig) []CuckooSweepRow {
 		m := int(load * float64(n))
 		for trial := 0; trial < cfg.Trials; trial++ {
 			gen := rng.NewStream(cfg.Seed^uint64(li*101), uint64(trial))
-			g := hypergraph.Partitioned(n, m, cfg.R, gen)
+			g := hypergraph.Partitioned(n, m, cfg.R, gen, parallel.Default())
 			if _, ok := cuckoo.PlaceByPeeling(g); ok {
 				row.PeelOK++
 			}
@@ -224,7 +227,7 @@ func RunEnsembleComparison(n int, seed uint64) []EnsembleRow {
 	rows := make([]EnsembleRow, 0, 3)
 
 	run := func(name string, g *hypergraph.Hypergraph) {
-		res := core.Parallel(g, 2, core.Options{})
+		res, _ := core.ParallelCtx(context.Background(), g, 2, core.Options{})
 		rows = append(rows, EnsembleRow{
 			Name:         name,
 			Density:      g.EdgeDensity(),
@@ -232,8 +235,8 @@ func RunEnsembleComparison(n int, seed uint64) []EnsembleRow {
 			CoreFraction: float64(res.CoreVertices) / float64(g.N),
 		})
 	}
-	run("poisson(3)", hypergraph.ConfigurationModel(hypergraph.PoissonDegrees(n, 3, gen), 3, gen))
-	run("3-regular", hypergraph.ConfigurationModel(hypergraph.RegularDegrees(n, 3), 3, gen))
+	run("poisson(3)", hypergraph.ConfigurationModel(hypergraph.PoissonDegrees(n, 3, gen), 3, gen, parallel.Default()))
+	run("3-regular", hypergraph.ConfigurationModel(hypergraph.RegularDegrees(n, 3), 3, gen, parallel.Default()))
 	bimodal := make([]int32, n)
 	for i := range bimodal {
 		if i%2 == 0 {
@@ -242,7 +245,7 @@ func RunEnsembleComparison(n int, seed uint64) []EnsembleRow {
 			bimodal[i] = 5
 		}
 	}
-	run("bimodal 1/5", hypergraph.ConfigurationModel(bimodal, 3, gen))
+	run("bimodal 1/5", hypergraph.ConfigurationModel(bimodal, 3, gen, parallel.Default()))
 	return rows
 }
 
@@ -272,15 +275,20 @@ func DefaultDecoderAblation() DecoderAblationConfig {
 	return DecoderAblationConfig{R: 3, Cells: 1 << 19, Load: 0.75, Trials: 3, Seed: 2014}
 }
 
-// DecoderAblationResult carries the three mean decode times.
+// DecoderAblationResult carries the three mean decode times, and every
+// trial in which a parallel decoder's output differed from the serial
+// decode's: the recovered sets or completeness.
 type DecoderAblationResult struct {
-	Config   DecoderAblationConfig
-	Serial   time.Duration
-	FullScan time.Duration
-	Frontier time.Duration
+	Config     DecoderAblationConfig
+	Serial     time.Duration
+	FullScan   time.Duration
+	Frontier   time.Duration
+	Mismatches []string
 }
 
-// RunDecoderAblation executes the timing comparison on identical tables.
+// RunDecoderAblation executes the timing comparison on identical tables
+// on the default pool, and checks both parallel modes against the
+// serial decode on every trial.
 func RunDecoderAblation(cfg DecoderAblationConfig) *DecoderAblationResult {
 	gen := rng.New(cfg.Seed)
 	keys := make([]uint64, int(cfg.Load*float64(cfg.Cells)))
@@ -289,24 +297,38 @@ func RunDecoderAblation(cfg DecoderAblationConfig) *DecoderAblationResult {
 			keys[i] = gen.Uint64()
 		}
 	}
+	pool := parallel.Default()
 	master := iblt.New(cfg.Cells, cfg.R, cfg.Seed)
-	master.InsertAll(keys)
+	master.InsertAllWithPool(keys, pool)
 	res := &DecoderAblationResult{Config: cfg}
 	for trial := 0; trial < cfg.Trials; trial++ {
 		t := master.Clone()
 		start := time.Now()
-		t.Decode()
+		added, removed, ok := t.Decode()
 		res.Serial += time.Since(start)
+		slices.Sort(added)
+		slices.Sort(removed)
 
-		t = master.Clone()
-		start = time.Now()
-		t.DecodeParallel()
-		res.FullScan += time.Since(start)
-
-		t = master.Clone()
-		start = time.Now()
-		t.DecodeParallelFrontier()
-		res.Frontier += time.Since(start)
+		for _, mode := range []struct {
+			name   string
+			decode func(*iblt.Table, context.Context, *parallel.Pool) (*iblt.ParallelResult, error)
+			total  *time.Duration
+		}{
+			{"full scan", (*iblt.Table).DecodeParallelCtx, &res.FullScan},
+			{"frontier", (*iblt.Table).DecodeParallelFrontierCtx, &res.Frontier},
+		} {
+			t := master.Clone()
+			start := time.Now()
+			pr, _ := mode.decode(t, context.Background(), pool)
+			*mode.total += time.Since(start)
+			slices.Sort(pr.Added)
+			slices.Sort(pr.Removed)
+			if pr.Complete != ok || !slices.Equal(pr.Added, added) || !slices.Equal(pr.Removed, removed) {
+				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
+					"trial %d, %s: complete=%v added=%d removed=%d; serial complete=%v added=%d removed=%d",
+					trial, mode.name, pr.Complete, len(pr.Added), len(pr.Removed), ok, len(added), len(removed)))
+			}
+		}
 	}
 	n := time.Duration(cfg.Trials)
 	res.Serial /= n
@@ -326,4 +348,7 @@ func (r *DecoderAblationResult) Render(w io.Writer) {
 	fmt.Fprintf(tw, "parallel frontier (extension)\t%v\t%.2fx\n",
 		r.Frontier.Round(time.Microsecond), base/float64(r.Frontier))
 	tw.Flush()
+	for _, m := range r.Mismatches {
+		fmt.Fprintf(w, "MISMATCH vs serial decode: %s\n", m)
+	}
 }

@@ -119,6 +119,9 @@ func TestRunDecoderAblation(t *testing.T) {
 	if res.Serial <= 0 || res.FullScan <= 0 || res.Frontier <= 0 {
 		t.Errorf("non-positive timing: %+v", res)
 	}
+	if len(res.Mismatches) != 0 {
+		t.Errorf("parallel decoders disagree with the serial decode: %q", res.Mismatches)
+	}
 	var buf bytes.Buffer
 	res.Render(&buf)
 	if !strings.Contains(buf.String(), "frontier") {

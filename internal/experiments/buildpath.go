@@ -18,7 +18,7 @@ import (
 // cmd/ablations -build: on the MPHF-shaped instance (3-partite, density
 // 1/γ just below c*(2,3)) it times the two sources of an ordered peel —
 // the sequential queue peel vs the ordered round-synchronous peel
-// (core.ParallelOrder) at 1 worker and at the configured pool size —
+// (core.ParallelOrderCtx) at 1 worker and at the configured pool size —
 // and the end-to-end mphf build that consumes it.
 type BuildPathConfig struct {
 	Ns      []int // key counts
@@ -43,8 +43,8 @@ func DefaultBuildPath() BuildPathConfig {
 type BuildPathRow struct {
 	Keys     int
 	SeqPeel  time.Duration // core.Sequential on the key hypergraph
-	OrdPeel1 time.Duration // core.ParallelOrder, 1-worker pool
-	OrdPeelW time.Duration // core.ParallelOrder, W-worker pool
+	OrdPeel1 time.Duration // core.ParallelOrderCtx, 1-worker pool
+	OrdPeelW time.Duration // core.ParallelOrderCtx, W-worker pool
 	BuildW   time.Duration // mphf.BuildCtx end-to-end, W workers
 }
 
@@ -75,7 +75,7 @@ func RunBuildPath(cfg BuildPathConfig) []BuildPathRow {
 	var rows []BuildPathRow
 	for _, m := range cfg.Ns {
 		subSize := int(cfg.Gamma*float64(m))/3 + 1
-		g := hypergraph.Partitioned(3*subSize, m, 3, rng.New(cfg.Seed))
+		g := hypergraph.Partitioned(3*subSize, m, 3, rng.New(cfg.Seed), parallel.Default())
 		keys := make([]uint64, m)
 		gen := rng.New(cfg.Seed + 1)
 		for i := range keys {
@@ -85,10 +85,10 @@ func RunBuildPath(cfg BuildPathConfig) []BuildPathRow {
 			Keys:    m,
 			SeqPeel: best(func() { core.Sequential(g, 2) }),
 			OrdPeel1: best(func() {
-				core.ParallelOrder(g, 2, core.Options{Pool: onePool})
+				core.ParallelOrderCtx(context.Background(), g, 2, core.Options{Pool: onePool})
 			}),
 			OrdPeelW: best(func() {
-				core.ParallelOrder(g, 2, core.Options{Pool: wPool})
+				core.ParallelOrderCtx(context.Background(), g, 2, core.Options{Pool: wPool})
 			}),
 			BuildW: best(func() {
 				must(mphf.BuildCtx(context.Background(), keys, cfg.Gamma, cfg.Seed, 10, wPool))

@@ -66,7 +66,7 @@ func RunConstructBench(cfg ConstructBenchConfig) []ConstructBenchRow {
 		for rep := 0; rep < cfg.Reps; rep++ {
 			gen := rng.NewStream(cfg.Seed, uint64(n))
 			start := time.Now()
-			hypergraph.UniformWithPool(n, m, cfg.R, gen, pool)
+			hypergraph.Uniform(n, m, cfg.R, gen, pool)
 			if d := time.Since(start); d < b {
 				b = d
 			}

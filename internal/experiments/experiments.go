@@ -5,9 +5,14 @@
 // explicit config (so tests run scaled-down versions and the cmd/
 // binaries run the paper's full sizes), returns typed rows, and renders a
 // table matching the paper's layout.
+//
+// The runners call the ctx-checked peelers and decoders under
+// context.Background. Their only error is cancellation, which that
+// context never signals, so the runners drop it.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/recurrence"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -96,8 +102,8 @@ func RunTable1(cfg Table1Config) *Table1Result {
 			m := int(c * float64(n))
 			failed := 0
 			rounds := stats.Trials(cfg.Trials, cfg.Seed^uint64(ci*1000003+n), func(trial int, gen *rng.RNG) float64 {
-				g := hypergraph.Uniform(n, m, cfg.R, gen)
-				r := core.Parallel(g, cfg.K, core.Options{})
+				g := hypergraph.Uniform(n, m, cfg.R, gen, parallel.Default())
+				r, _ := core.ParallelCtx(context.Background(), g, cfg.K, core.Options{})
 				if !r.Empty() {
 					failed++
 				}
@@ -193,8 +199,8 @@ func RunTable2(cfg Table2Config) *Table2Result {
 		m := int(c * float64(cfg.N))
 		for trial := 0; trial < cfg.Trials; trial++ {
 			gen := rng.NewStream(cfg.Seed^uint64(1000+ci), uint64(trial))
-			g := hypergraph.Uniform(cfg.N, m, cfg.R, gen)
-			r := core.Parallel(g, cfg.K, core.Options{MaxRounds: cfg.Rounds})
+			g := hypergraph.Uniform(cfg.N, m, cfg.R, gen, parallel.Default())
+			r, _ := core.ParallelCtx(context.Background(), g, cfg.K, core.Options{MaxRounds: cfg.Rounds})
 			for t := 0; t < cfg.Rounds; t++ {
 				if t < len(r.SurvivorHistory) {
 					sums[t] += float64(r.SurvivorHistory[t])

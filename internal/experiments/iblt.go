@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/iblt"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -51,7 +53,8 @@ type IBLTResult struct {
 }
 
 // RunIBLT executes the benchmark. Serial timings use Insert/Decode;
-// parallel timings use InsertAll/DecodeParallel. All timings are means
+// parallel timings use InsertAllWithPool/DecodeParallelCtx on the default
+// pool. All timings are means
 // over cfg.Trials runs on fresh tables with identical key sets.
 func RunIBLT(cfg IBLTConfig) *IBLTResult {
 	res := &IBLTResult{Config: cfg}
@@ -72,10 +75,10 @@ func RunIBLT(cfg IBLTConfig) *IBLTResult {
 
 			tbl := iblt.New(cfg.Cells, cfg.R, seed)
 			start := time.Now()
-			tbl.InsertAll(keys)
+			tbl.InsertAllWithPool(keys, parallel.Default())
 			parIns += time.Since(start)
 			start = time.Now()
-			pres := tbl.DecodeParallel()
+			pres, _ := tbl.DecodeParallelCtx(context.Background(), parallel.Default())
 			parRec += time.Since(start)
 			recovered = len(pres.Added)
 			row.RecoveryRounds = pres.Rounds

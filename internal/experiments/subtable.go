@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/recurrence"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -64,8 +66,8 @@ func RunTable5(cfg Table5Config) *Table5Result {
 			m := int(c * float64(np))
 			failed := 0
 			subrounds := stats.Trials(cfg.Trials, cfg.Seed^uint64(ci*2000003+n), func(trial int, gen *rng.RNG) float64 {
-				g := hypergraph.Partitioned(np, m, cfg.R, gen)
-				r := core.Subtables(g, cfg.K, core.Options{})
+				g := hypergraph.Partitioned(np, m, cfg.R, gen, parallel.Default())
+				r, _ := core.SubtablesCtx(context.Background(), g, cfg.K, core.Options{})
 				if !r.Empty() {
 					failed++
 				}
@@ -141,8 +143,8 @@ func RunTable6(cfg Table6Config) *Table6Result {
 	m := int(cfg.C * float64(np))
 	for trial := 0; trial < cfg.Trials; trial++ {
 		gen := rng.NewStream(cfg.Seed^3000, uint64(trial))
-		g := hypergraph.Partitioned(np, m, cfg.R, gen)
-		r := core.Subtables(g, cfg.K, core.Options{MaxRounds: cfg.Rounds})
+		g := hypergraph.Partitioned(np, m, cfg.R, gen, parallel.Default())
+		r, _ := core.SubtablesCtx(context.Background(), g, cfg.K, core.Options{MaxRounds: cfg.Rounds})
 		for t := 0; t < total; t++ {
 			if t < len(r.SurvivorHistory) {
 				sums[t] += float64(r.SurvivorHistory[t])

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/branching"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/recurrence"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -64,8 +66,8 @@ func RunEmpiricalNu(cfg EmpiricalNuConfig) *EmpiricalNuResult {
 		m := int(c * float64(cfg.N))
 		failed := 0
 		rounds := stats.Trials(cfg.Trials, cfg.Seed^uint64(ni*7919), func(trial int, gen *rng.RNG) float64 {
-			g := hypergraph.Uniform(cfg.N, m, cfg.R, gen)
-			r := core.Parallel(g, cfg.K, core.Options{})
+			g := hypergraph.Uniform(cfg.N, m, cfg.R, gen, parallel.Default())
+			r, _ := core.ParallelCtx(context.Background(), g, cfg.K, core.Options{})
 			if !r.Empty() {
 				failed++
 			}
@@ -125,8 +127,8 @@ func RunModelValidation(cfg ModelValidationConfig) []ModelValidationRow {
 	p := branching.Params{K: cfg.K, R: cfg.R, C: cfg.C}
 	rec := recurrence.Params{K: cfg.K, R: cfg.R, C: cfg.C}
 	trace := must(rec.Trace(cfg.Rounds))
-	g := hypergraph.Uniform(cfg.N, int(cfg.C*float64(cfg.N)), cfg.R, rng.New(cfg.Seed))
-	sim := core.Parallel(g, cfg.K, core.Options{MaxRounds: cfg.Rounds})
+	g := hypergraph.Uniform(cfg.N, int(cfg.C*float64(cfg.N)), cfg.R, rng.New(cfg.Seed), parallel.Default())
+	sim, _ := core.ParallelCtx(context.Background(), g, cfg.K, core.Options{MaxRounds: cfg.Rounds})
 
 	rows := make([]ModelValidationRow, cfg.Rounds)
 	for t := 1; t <= cfg.Rounds; t++ {

@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
 func TestConfigurationModelDegreesHonored(t *testing.T) {
 	gen := rng.New(1)
 	degrees := PoissonDegrees(5000, 2.8, gen)
-	g := ConfigurationModel(degrees, 4, gen)
+	g := ConfigurationModel(degrees, 4, gen, parallel.Default())
 
 	// Total stubs minus the dropped remainder must equal m*r.
 	total := 0
@@ -39,7 +40,7 @@ func TestConfigurationModelDegreesHonored(t *testing.T) {
 func TestConfigurationModelDistinctVertices(t *testing.T) {
 	gen := rng.New(2)
 	degrees := PoissonDegrees(3000, 3.0, gen)
-	g := ConfigurationModel(degrees, 3, gen)
+	g := ConfigurationModel(degrees, 3, gen, parallel.Default())
 	for e := 0; e < g.M; e++ {
 		vs := g.EdgeVertices(e)
 		for i := 0; i < len(vs); i++ {
@@ -59,7 +60,7 @@ func TestRegularGraphIsItsOwnCore(t *testing.T) {
 	// low-degree tail seeds the peeling avalanche.
 	gen := rng.New(3)
 	n := 3000
-	g := ConfigurationModel(RegularDegrees(n, 3), 3, gen)
+	g := ConfigurationModel(RegularDegrees(n, 3), 3, gen, parallel.Default())
 	removedBudget := 3 * 3 // dropped stubs can lower at most r-1 vertices below 3, cascades bounded small
 	deg2 := 0
 	for v := 0; v < g.N; v++ {
@@ -78,8 +79,8 @@ func TestPoissonConfigMatchesUniformEnsemble(t *testing.T) {
 	// match within sampling error.
 	n, c, r := 100000, 0.7, 4
 	gen := rng.New(4)
-	cfgGraph := ConfigurationModel(PoissonDegrees(n, float64(r)*c, gen), r, gen)
-	uniGraph := Uniform(n, int(c*float64(n)), r, rng.New(5))
+	cfgGraph := ConfigurationModel(PoissonDegrees(n, float64(r)*c, gen), r, gen, parallel.Default())
+	uniGraph := Uniform(n, int(c*float64(n)), r, rng.New(5), parallel.Default())
 	hc := cfgGraph.DegreeHistogram(10)
 	hu := uniGraph.DegreeHistogram(10)
 	for d := 0; d <= 8; d++ {
@@ -94,13 +95,13 @@ func TestPoissonConfigMatchesUniformEnsemble(t *testing.T) {
 func TestConfigurationModelValidation(t *testing.T) {
 	gen := rng.New(6)
 	for name, f := range map[string]func(){
-		"bad arity":       func() { ConfigurationModel(RegularDegrees(10, 2), 1, gen) },
-		"negative degree": func() { ConfigurationModel([]int32{2, -1, 2}, 3, gen) },
+		"bad arity":       func() { ConfigurationModel(RegularDegrees(10, 2), 1, gen, parallel.Default()) },
+		"negative degree": func() { ConfigurationModel([]int32{2, -1, 2}, 3, gen, parallel.Default()) },
 		"impossible concentration": func() {
 			// One vertex holds half of all stubs: no valid 3-uniform
 			// matching with distinct vertices exists.
 			degs := []int32{90, 1, 1, 1, 1, 1, 1}
-			ConfigurationModel(degs, 3, gen)
+			ConfigurationModel(degs, 3, gen, parallel.Default())
 		},
 	} {
 		func() {
@@ -115,7 +116,7 @@ func TestConfigurationModelValidation(t *testing.T) {
 }
 
 func TestConfigurationModelEmpty(t *testing.T) {
-	g := ConfigurationModel(make([]int32, 100), 3, rng.New(7))
+	g := ConfigurationModel(make([]int32, 100), 3, rng.New(7), parallel.Default())
 	if g.M != 0 || g.N != 100 {
 		t.Errorf("empty degrees produced m=%d", g.M)
 	}
@@ -126,6 +127,6 @@ func BenchmarkConfigurationModel(b *testing.B) {
 	degrees := PoissonDegrees(1<<17, 2.8, gen)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConfigurationModel(degrees, 4, rng.New(uint64(i)))
+		ConfigurationModel(degrees, 4, rng.New(uint64(i)), parallel.Default())
 	}
 }

@@ -39,7 +39,7 @@ func BenchmarkConstructUniform(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					UniformWithPool(n, m, benchR, gen, pool)
+					Uniform(n, m, benchR, gen, pool)
 				}
 				b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/sec")
 			})
@@ -60,7 +60,7 @@ func BenchmarkConstructPartitioned(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					PartitionedWithPool(n, m, benchR, gen, pool)
+					Partitioned(n, m, benchR, gen, pool)
 				}
 				b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/sec")
 			})

@@ -21,9 +21,8 @@
 // Construction is parallel end-to-end — edge sampling fans chunk-keyed
 // RNG streams out over a worker pool, and the CSR index is built with a
 // stable parallel counting sort — yet deterministic: a given generator
-// state produces the same graph for every worker count. Each generator
-// has a ...WithPool variant; the plain forms run on the process-wide
-// default pool.
+// state produces the same graph for every worker count. Every generator
+// takes the worker pool it runs on.
 package hypergraph
 
 import (
@@ -133,18 +132,12 @@ const genChunk = 4096
 // Uniform generates the G^r_{n,m} model: m edges, each a uniformly chosen
 // r-subset of [0, n), drawn independently (edges may repeat, matching the
 // paper's hashing applications where two items can hash identically).
-// Generation and the CSR build run on the process-wide default pool; the
-// result depends only on gen's state, not on the pool size.
+// Generation and the CSR build run on pool; the result depends only on
+// gen's state, not on the pool size. Panics if (n, m, r) is malformed
+// (see validate).
 //
 //peelvet:deterministic
-func Uniform(n, m, r int, gen *rng.RNG) *Hypergraph {
-	return UniformWithPool(n, m, r, gen, parallel.Default())
-}
-
-// UniformWithPool is Uniform on an explicit worker pool.
-//
-//peelvet:deterministic
-func UniformWithPool(n, m, r int, gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
+func Uniform(n, m, r int, gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
 	validate(n, m, r)
 	g := &Hypergraph{N: n, M: m, R: r, Edges: make([]uint32, m*r)}
 	base := gen.DeriveSeed()
@@ -162,33 +155,22 @@ func UniformWithPool(n, m, r int, gen *rng.RNG, pool *parallel.Pool) *Hypergraph
 // Binomial generates the G^r_c model on n vertices with edge density c:
 // the number of edges is Poisson(cn) (the sparse-regime limit of
 // Binomial(C(n,r), cn/C(n,r))), and each edge is an independent uniform
-// r-subset.
-func Binomial(n int, c float64, r int, gen *rng.RNG) *Hypergraph {
-	return BinomialWithPool(n, c, r, gen, parallel.Default())
-}
-
-// BinomialWithPool is Binomial on an explicit worker pool. Panics if the
-// edge density c is negative.
-func BinomialWithPool(n int, c float64, r int, gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
+// r-subset. Panics if the edge density c is negative.
+func Binomial(n int, c float64, r int, gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
 	if c < 0 {
 		panic("hypergraph: negative edge density")
 	}
 	m := gen.Poisson(c * float64(n))
-	return UniformWithPool(n, m, r, gen, pool)
+	return Uniform(n, m, r, gen, pool)
 }
 
 // Partitioned generates the Appendix B model: n vertices split into r
 // subtables of n/r (n must be divisible by r), and m edges each containing
 // exactly one uniform vertex from every subtable. Position j of each edge
 // lies in subtable j, mirroring how an IBLT hashes an item once per
-// subtable.
-func Partitioned(n, m, r int, gen *rng.RNG) *Hypergraph {
-	return PartitionedWithPool(n, m, r, gen, parallel.Default())
-}
-
-// PartitionedWithPool is Partitioned on an explicit worker pool. Panics
-// if (n, m, r) is malformed (see validate) or n is not divisible by r.
-func PartitionedWithPool(n, m, r int, gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
+// subtable. Panics if (n, m, r) is malformed (see validate) or n is not
+// divisible by r.
+func Partitioned(n, m, r int, gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
 	validate(n, m, r)
 	if n%r != 0 {
 		panic(fmt.Sprintf("hypergraph: n=%d not divisible by r=%d", n, r))
@@ -426,16 +408,8 @@ func (g *Hypergraph) DegreeHistogram(maxDeg int) []int {
 }
 
 // CountDegreesBelow returns how many vertices currently have degree < k in
-// the full graph (round-1 peel candidates), computed in parallel on the
-// process-wide default pool. Callers that configured an explicit pool
-// (core.Options.Pool) should use CountDegreesBelowWithPool so the
-// scan does not escape to the default pool.
-func (g *Hypergraph) CountDegreesBelow(k int) int {
-	return g.CountDegreesBelowWithPool(k, parallel.Default())
-}
-
-// CountDegreesBelowWithPool is CountDegreesBelow on an explicit pool.
-func (g *Hypergraph) CountDegreesBelowWithPool(k int, pool *parallel.Pool) int {
+// the full graph (round-1 peel candidates), computed in parallel on pool.
+func (g *Hypergraph) CountDegreesBelow(k int, pool *parallel.Pool) int {
 	counter := pool.NewCounter()
 	pool.For(g.N, 4096, func(w, lo, hi int) {
 		local := 0

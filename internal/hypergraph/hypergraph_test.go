@@ -1,7 +1,9 @@
 package hypergraph
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,7 +14,7 @@ import (
 )
 
 func TestUniformShape(t *testing.T) {
-	g := Uniform(1000, 700, 4, rng.New(1))
+	g := Uniform(1000, 700, 4, rng.New(1), parallel.Default())
 	if g.N != 1000 || g.M != 700 || g.R != 4 {
 		t.Fatalf("shape N=%d M=%d R=%d", g.N, g.M, g.R)
 	}
@@ -25,7 +27,7 @@ func TestUniformShape(t *testing.T) {
 }
 
 func TestUniformEdgesDistinctVertices(t *testing.T) {
-	g := Uniform(50, 500, 3, rng.New(2))
+	g := Uniform(50, 500, 3, rng.New(2), parallel.Default())
 	for e := 0; e < g.M; e++ {
 		vs := g.EdgeVertices(e)
 		for i := 0; i < len(vs); i++ {
@@ -42,7 +44,7 @@ func TestUniformEdgesDistinctVertices(t *testing.T) {
 }
 
 func TestIncidenceConsistency(t *testing.T) {
-	g := Uniform(300, 250, 4, rng.New(3))
+	g := Uniform(300, 250, 4, rng.New(3), parallel.Default())
 	// Every (edge, vertex) incidence appears in both directions.
 	for e := 0; e < g.M; e++ {
 		for _, v := range g.EdgeVertices(e) {
@@ -69,7 +71,7 @@ func TestIncidenceConsistency(t *testing.T) {
 }
 
 func TestDegreesMatchOffsets(t *testing.T) {
-	g := Uniform(200, 150, 3, rng.New(4))
+	g := Uniform(200, 150, 3, rng.New(4), parallel.Default())
 	d := g.Degrees()
 	for v := 0; v < g.N; v++ {
 		if int(d[v]) != g.Degree(v) {
@@ -82,7 +84,7 @@ func TestDegreeDistributionApproxPoisson(t *testing.T) {
 	// In G^r_{n,cn} vertex degrees are Binomial(m, r/n) ~ Poisson(rc).
 	// Compare the empirical histogram with the Poisson(rc) pmf.
 	n, c, r := 200000, 0.7, 4
-	g := Uniform(n, int(c*float64(n)), r, rng.New(5))
+	g := Uniform(n, int(c*float64(n)), r, rng.New(5), parallel.Default())
 	hist := g.DegreeHistogram(12)
 	mean := float64(r) * c
 	for d := 0; d <= 8; d++ {
@@ -100,7 +102,7 @@ func TestBinomialEdgeCountConcentrates(t *testing.T) {
 	var sum float64
 	const trials = 20
 	for i := 0; i < trials; i++ {
-		g := Binomial(n, c, 3, rng.NewStream(6, uint64(i)))
+		g := Binomial(n, c, 3, rng.NewStream(6, uint64(i)), parallel.Default())
 		sum += float64(g.M)
 	}
 	mean := sum / trials
@@ -113,7 +115,7 @@ func TestBinomialEdgeCountConcentrates(t *testing.T) {
 
 func TestPartitionedStructure(t *testing.T) {
 	n, m, r := 1200, 800, 4
-	g := Partitioned(n, m, r, rng.New(7))
+	g := Partitioned(n, m, r, rng.New(7), parallel.Default())
 	if g.SubtableSize != n/r {
 		t.Fatalf("SubtableSize = %d, want %d", g.SubtableSize, n/r)
 	}
@@ -133,11 +135,11 @@ func TestPartitionedRequiresDivisibility(t *testing.T) {
 			t.Error("Partitioned(1001, ...) did not panic")
 		}
 	}()
-	Partitioned(1001, 100, 4, rng.New(8))
+	Partitioned(1001, 100, 4, rng.New(8), parallel.Default())
 }
 
 func TestSubtablePanicsOnUnpartitioned(t *testing.T) {
-	g := Uniform(100, 10, 3, rng.New(9))
+	g := Uniform(100, 10, 3, rng.New(9), parallel.Default())
 	defer func() {
 		if recover() == nil {
 			t.Error("Subtable on unpartitioned graph did not panic")
@@ -162,9 +164,9 @@ func TestFromEdgesValidation(t *testing.T) {
 		"bad length":    func() { FromEdges(5, 3, []uint32{0, 1}, 0) },
 		"out of range":  func() { FromEdges(3, 3, []uint32{0, 1, 7}, 0) },
 		"bad arity":     func() { FromEdges(5, 1, []uint32{0}, 0) },
-		"uniform n < r": func() { Uniform(2, 1, 3, rng.New(1)) },
-		"negative m":    func() { Uniform(10, -1, 3, rng.New(1)) },
-		"negative c":    func() { Binomial(10, -0.5, 3, rng.New(1)) },
+		"uniform n < r": func() { Uniform(2, 1, 3, rng.New(1), parallel.Default()) },
+		"negative m":    func() { Uniform(10, -1, 3, rng.New(1), parallel.Default()) },
+		"negative c":    func() { Binomial(10, -0.5, 3, rng.New(1), parallel.Default()) },
 	} {
 		func() {
 			defer func() {
@@ -178,14 +180,14 @@ func TestFromEdgesValidation(t *testing.T) {
 }
 
 func TestEdgeDensity(t *testing.T) {
-	g := Uniform(1000, 700, 3, rng.New(10))
+	g := Uniform(1000, 700, 3, rng.New(10), parallel.Default())
 	if got := g.EdgeDensity(); math.Abs(got-0.7) > 1e-12 {
 		t.Errorf("EdgeDensity = %v", got)
 	}
 }
 
 func TestCountDegreesBelowMatchesSequential(t *testing.T) {
-	g := Uniform(50000, 35000, 4, rng.New(11))
+	g := Uniform(50000, 35000, 4, rng.New(11), parallel.Default())
 	for _, k := range []int{1, 2, 3, 5} {
 		want := 0
 		for v := 0; v < g.N; v++ {
@@ -193,19 +195,52 @@ func TestCountDegreesBelowMatchesSequential(t *testing.T) {
 				want++
 			}
 		}
-		if got := g.CountDegreesBelow(k); got != want {
+		if got := g.CountDegreesBelow(k, parallel.Default()); got != want {
 			t.Errorf("CountDegreesBelow(%d) = %d, want %d", k, got, want)
 		}
 	}
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
-	a := Uniform(1000, 700, 4, rng.New(42))
-	b := Uniform(1000, 700, 4, rng.New(42))
+	a := Uniform(1000, 700, 4, rng.New(42), parallel.Default())
+	b := Uniform(1000, 700, 4, rng.New(42), parallel.Default())
 	for i := range a.Edges {
 		if a.Edges[i] != b.Edges[i] {
 			t.Fatal("same-seed graphs differ")
 		}
+	}
+}
+
+// TestGeneratorsGolden pins every generator's edges for a fixed seed,
+// at one and three workers, to digests recorded before the generators
+// took their pool as an argument: the same seed must keep denoting the
+// same graph.
+func TestGeneratorsGolden(t *testing.T) {
+	digest := func(g *Hypergraph) string {
+		h := fnv.New64a()
+		var b [4]byte
+		for _, v := range g.Edges {
+			binary.LittleEndian.PutUint32(b[:], v)
+			h.Write(b[:])
+		}
+		return fmt.Sprintf("%d:%016x", g.M, h.Sum64())
+	}
+	for _, w := range []int{1, 3} {
+		pool := parallel.NewPool(w)
+		for _, tc := range []struct {
+			name, want string
+			g          *Hypergraph
+		}{
+			{"Uniform", "21000:da83e46be3261aeb", Uniform(30000, 21000, 4, rng.New(11), pool)},
+			{"Binomial", "24055:b11f7c2d01d8fb23", Binomial(30000, 0.8, 3, rng.New(12), pool)},
+			{"Partitioned", "24000:1c016aec5e619753", Partitioned(30000, 24000, 3, rng.New(13), pool)},
+			{"ConfigurationModel", "9000:e533d82c645c7361", ConfigurationModel(RegularDegrees(9000, 3), 3, rng.New(14), pool)},
+		} {
+			if got := digest(tc.g); got != tc.want {
+				t.Errorf("W=%d %s: edges digest %s, want %s", w, tc.name, got, tc.want)
+			}
+		}
+		pool.Close()
 	}
 }
 
@@ -251,13 +286,13 @@ func TestConstructionDeterministicAcrossWorkers(t *testing.T) {
 	}
 	builds := []build{
 		{"uniform", func(gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
-			return UniformWithPool(n, m, r, gen, pool)
+			return Uniform(n, m, r, gen, pool)
 		}},
 		{"partitioned", func(gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
-			return PartitionedWithPool(n, m, r, gen, pool)
+			return Partitioned(n, m, r, gen, pool)
 		}},
 		{"binomial", func(gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
-			return BinomialWithPool(n, float64(m)/float64(n), r, gen, pool)
+			return Binomial(n, float64(m)/float64(n), r, gen, pool)
 		}},
 	}
 	for _, bd := range builds {
@@ -325,7 +360,7 @@ func TestParallelCSRMatchesSequential(t *testing.T) {
 func TestCountDegreesBelowWithPool(t *testing.T) {
 	pool := parallel.NewPool(3)
 	defer pool.Close()
-	g := UniformWithPool(20000, 14000, 4, rng.New(12), pool)
+	g := Uniform(20000, 14000, 4, rng.New(12), pool)
 	for _, k := range []int{1, 2, 4} {
 		want := 0
 		for v := 0; v < g.N; v++ {
@@ -333,8 +368,8 @@ func TestCountDegreesBelowWithPool(t *testing.T) {
 				want++
 			}
 		}
-		if got := g.CountDegreesBelowWithPool(k, pool); got != want {
-			t.Errorf("CountDegreesBelowWithPool(%d) = %d, want %d", k, got, want)
+		if got := g.CountDegreesBelow(k, pool); got != want {
+			t.Errorf("CountDegreesBelow(%d) = %d, want %d", k, got, want)
 		}
 	}
 }
@@ -343,7 +378,7 @@ func TestIncidencePropertyQuick(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16) bool {
 		n := int(nRaw%500) + 5
 		m := int(mRaw % 400)
-		g := Uniform(n, m, 3, rng.New(seed))
+		g := Uniform(n, m, 3, rng.New(seed), parallel.Default())
 		// CSR round trip: degree sum equals m*r and offsets monotone.
 		total := 0
 		for v := 0; v < g.N; v++ {
@@ -363,7 +398,7 @@ func BenchmarkUniformGenerate(b *testing.B) {
 	gen := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Uniform(1<<17, 90000, 4, gen)
+		Uniform(1<<17, 90000, 4, gen, parallel.Default())
 	}
 }
 
@@ -371,6 +406,6 @@ func BenchmarkPartitionedGenerate(b *testing.B) {
 	gen := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Partitioned(1<<17, 90000, 4, gen)
+		Partitioned(1<<17, 90000, 4, gen, parallel.Default())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -13,9 +14,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		name string
 		g    *Hypergraph
 	}{
-		{"uniform", Uniform(500, 350, 4, rng.New(1))},
-		{"partitioned", Partitioned(600, 400, 3, rng.New(2))},
-		{"empty", Uniform(10, 0, 3, rng.New(3))},
+		{"uniform", Uniform(500, 350, 4, rng.New(1), parallel.Default())},
+		{"partitioned", Partitioned(600, 400, 3, rng.New(2), parallel.Default())},
+		{"empty", Uniform(10, 0, 3, rng.New(3), parallel.Default())},
 	} {
 		var buf bytes.Buffer
 		if _, err := gen.g.WriteTo(&buf); err != nil {
@@ -44,7 +45,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadFromRejectsCorruption(t *testing.T) {
-	g := Uniform(100, 50, 3, rng.New(4))
+	g := Uniform(100, 50, 3, rng.New(4), parallel.Default())
 	var buf bytes.Buffer
 	if _, err := g.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestReadFromRejectsCorruption(t *testing.T) {
 }
 
 func TestReadFromRejectsBrokenPartition(t *testing.T) {
-	g := Partitioned(300, 100, 3, rng.New(5))
+	g := Partitioned(300, 100, 3, rng.New(5), parallel.Default())
 	var buf bytes.Buffer
 	if _, err := g.WriteTo(&buf); err != nil {
 		t.Fatal(err)

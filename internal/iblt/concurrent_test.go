@@ -21,19 +21,19 @@ func TestDecodeWithPoolMatchesSerial(t *testing.T) {
 		master.InsertAllWithPool(keys, pool)
 
 		addedS, _, okS := master.Clone().Decode()
-		full := master.Clone().DecodeParallelWithPool(pool)
-		frontier := master.Clone().DecodeParallelFrontierWithPool(pool)
+		full := decodeOn(master.Clone(), pool, false)
+		frontier := decodeOn(master.Clone(), pool, true)
 
 		if full.Complete != okS || frontier.Complete != okS {
 			t.Errorf("load %v: complete serial=%v full=%v frontier=%v",
 				load, okS, full.Complete, frontier.Complete)
 		}
 		if !equalSets(full.Added, addedS) {
-			t.Errorf("load %v: DecodeParallelWithPool recovered %d keys, serial %d",
+			t.Errorf("load %v: DecodeParallelCtx recovered %d keys, serial %d",
 				load, len(full.Added), len(addedS))
 		}
 		if !equalSets(frontier.Added, addedS) {
-			t.Errorf("load %v: DecodeParallelFrontierWithPool recovered %d keys, serial %d",
+			t.Errorf("load %v: DecodeParallelFrontierCtx recovered %d keys, serial %d",
 				load, len(frontier.Added), len(addedS))
 		}
 	}
@@ -56,9 +56,9 @@ func TestConcurrentDecodesSharedPool(t *testing.T) {
 			table.InsertAllWithPool(keys, p)
 			var res *ParallelResult
 			if j%2 == 0 {
-				res = table.DecodeParallelWithPool(p)
+				res = decodeOn(table, p, false)
 			} else {
-				res = table.DecodeParallelFrontierWithPool(p)
+				res = decodeOn(table, p, true)
 			}
 			if !res.Complete {
 				return fmt.Errorf("job %d: decode incomplete", j)
@@ -111,12 +111,12 @@ func BenchmarkConcurrentDecode(b *testing.B) {
 	const cells = 4096
 	keys := randomKeys(int(0.75*float64(cells)), 9)
 	master := New(cells, 3, 13)
-	master.InsertAll(keys)
+	master.InsertAllWithPool(keys, parallel.Default())
 	keysPerOp := float64(len(keys))
 
 	decodeJob := func(p *parallel.Pool, reps int) error {
 		for i := 0; i < reps; i++ {
-			if res := master.Clone().DecodeParallelFrontierWithPool(p); !res.Complete {
+			if res := decodeOn(master.Clone(), p, true); !res.Complete {
 				return fmt.Errorf("decode failed")
 			}
 		}

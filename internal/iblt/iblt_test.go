@@ -1,6 +1,7 @@
 package iblt
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -43,6 +44,18 @@ func equalSets(a, b []uint64) bool {
 	return true
 }
 
+// decodeOn runs the full-scan (frontier = false) or frontier parallel
+// decoder on pool. Without a deadline the only error is cancellation,
+// so there is none to report.
+func decodeOn(tbl *Table, pool *parallel.Pool, frontier bool) *ParallelResult {
+	decode := tbl.DecodeParallelCtx
+	if frontier {
+		decode = tbl.DecodeParallelFrontierCtx
+	}
+	res, _ := decode(context.Background(), pool)
+	return res
+}
+
 func TestInsertDecodeRoundTrip(t *testing.T) {
 	keys := randomKeys(5000, 1)
 	table := New(10000, 3, 7) // load 0.5, far below c*(2,3) ~ 0.818
@@ -64,8 +77,8 @@ func TestInsertDecodeRoundTrip(t *testing.T) {
 func TestDecodeParallelRoundTrip(t *testing.T) {
 	keys := randomKeys(5000, 2)
 	table := New(10000, 3, 7)
-	table.InsertAll(keys)
-	res := table.DecodeParallel()
+	table.InsertAllWithPool(keys, parallel.Default())
+	res := decodeOn(table, parallel.Default(), false)
 	if !res.Complete {
 		t.Fatal("parallel decode failed at load 0.5")
 	}
@@ -84,7 +97,7 @@ func TestSerialAndParallelInsertEquivalent(t *testing.T) {
 	for _, k := range keys {
 		a.Insert(k)
 	}
-	b.InsertAll(keys)
+	b.InsertAllWithPool(keys, parallel.Default())
 	for i := range a.count {
 		if a.count[i] != b.count[i] || a.keySum[i] != b.keySum[i] || a.checkSum[i] != b.checkSum[i] {
 			t.Fatalf("cell %d differs between serial and parallel insert", i)
@@ -112,8 +125,8 @@ func TestSparseRecovery(t *testing.T) {
 	const total, surviving = 50000, 2000
 	keys := randomKeys(total, 5)
 	table := New(4096, 4, 13) // load of survivors = 0.49
-	table.InsertAll(keys)
-	table.DeleteAll(keys[surviving:])
+	table.InsertAllWithPool(keys, parallel.Default())
+	table.DeleteAllWithPool(keys[surviving:], parallel.Default())
 	added, removed, ok := table.Decode()
 	if !ok {
 		t.Fatal("sparse recovery failed")
@@ -135,10 +148,10 @@ func TestSetReconciliation(t *testing.T) {
 	onlyB := randomKeys(310, 8)
 	ta := New(2048, 3, 99)
 	tb := New(2048, 3, 99)
-	ta.InsertAll(common)
-	ta.InsertAll(onlyA)
-	tb.InsertAll(common)
-	tb.InsertAll(onlyB)
+	ta.InsertAllWithPool(common, parallel.Default())
+	ta.InsertAllWithPool(onlyA, parallel.Default())
+	tb.InsertAllWithPool(common, parallel.Default())
+	tb.InsertAllWithPool(onlyB, parallel.Default())
 	ta.Subtract(tb)
 	added, removed, ok := ta.Decode()
 	if !ok {
@@ -158,12 +171,12 @@ func TestSetReconciliationParallel(t *testing.T) {
 	onlyB := randomKeys(190, 18)
 	ta := New(1536, 3, 100)
 	tb := New(1536, 3, 100)
-	ta.InsertAll(common)
-	ta.InsertAll(onlyA)
-	tb.InsertAll(common)
-	tb.InsertAll(onlyB)
+	ta.InsertAllWithPool(common, parallel.Default())
+	ta.InsertAllWithPool(onlyA, parallel.Default())
+	tb.InsertAllWithPool(common, parallel.Default())
+	tb.InsertAllWithPool(onlyB, parallel.Default())
 	ta.Subtract(tb)
-	res := ta.DecodeParallel()
+	res := decodeOn(ta, parallel.Default(), false)
 	if !res.Complete {
 		t.Fatal("parallel reconciliation decode failed")
 	}
@@ -177,7 +190,7 @@ func TestDecodeFailsAboveThreshold(t *testing.T) {
 	// must stall with partial recovery (Tables 3-4's failing rows).
 	keys := randomKeys(9000, 9)
 	table := New(10000, 3, 15)
-	table.InsertAll(keys)
+	table.InsertAllWithPool(keys, parallel.Default())
 	added, _, ok := table.Decode()
 	if ok {
 		t.Fatal("decode succeeded at load 0.9 (should be above threshold)")
@@ -205,10 +218,10 @@ func TestSerialParallelSameRecoverySet(t *testing.T) {
 		cells := 9000
 		keys := randomKeys(int(load*float64(cells)), uint64(10+int(load*100)))
 		a := New(cells, 3, 21)
-		a.InsertAll(keys)
+		a.InsertAllWithPool(keys, parallel.Default())
 		b := a.Clone()
 		addedS, _, okS := a.Decode()
-		res := b.DecodeParallel()
+		res := decodeOn(b, parallel.Default(), false)
 		if okS != res.Complete {
 			t.Errorf("load %v: serial ok=%v parallel ok=%v", load, okS, res.Complete)
 		}
@@ -288,13 +301,13 @@ func TestDecodeQuickRoundTrip(t *testing.T) {
 		n := int(nRaw%200) + 1
 		keys := randomKeys(n, seed)
 		table := New(n*4+16, 3, seed^0xabc)
-		table.InsertAll(keys)
+		table.InsertAllWithPool(keys, parallel.Default())
 		clone := table.Clone()
 		added, removed, ok := table.Decode()
 		if !ok || len(removed) != 0 || !equalSets(added, keys) {
 			return false
 		}
-		res := clone.DecodeParallel()
+		res := decodeOn(clone, parallel.Default(), false)
 		return res.Complete && equalSets(res.Added, keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(11))}); err != nil {
@@ -308,8 +321,8 @@ func TestParallelRoundsReasonable(t *testing.T) {
 	// keys — not O(n).
 	keys := randomKeys(10000, 11)
 	table := New(16384, 4, 31) // load ~0.61 < 0.772
-	table.InsertAll(keys)
-	res := table.DecodeParallel()
+	table.InsertAllWithPool(keys, parallel.Default())
+	res := decodeOn(table, parallel.Default(), false)
 	if !res.Complete {
 		t.Fatal("decode failed")
 	}
@@ -337,15 +350,15 @@ func BenchmarkInsertParallel(b *testing.B) {
 	table := New(1<<16, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table.InsertAll(keys)
-		table.DeleteAll(keys)
+		table.InsertAllWithPool(keys, parallel.Default())
+		table.DeleteAllWithPool(keys, parallel.Default())
 	}
 }
 
 func BenchmarkDecodeSerial(b *testing.B) {
 	keys := randomKeys(3<<12, 1)
 	master := New(1<<14, 3, 1)
-	master.InsertAll(keys)
+	master.InsertAllWithPool(keys, parallel.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -358,13 +371,13 @@ func BenchmarkDecodeSerial(b *testing.B) {
 func BenchmarkDecodeParallel(b *testing.B) {
 	keys := randomKeys(3<<12, 1)
 	master := New(1<<14, 3, 1)
-	master.InsertAll(keys)
+	master.InsertAllWithPool(keys, parallel.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		table := master.Clone()
 		b.StartTimer()
-		table.DecodeParallel()
+		decodeOn(table, parallel.Default(), false)
 	}
 }
 

@@ -6,13 +6,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 func TestDecodeParallelFrontierRoundTrip(t *testing.T) {
 	keys := randomKeys(5000, 30)
 	table := New(10000, 3, 7)
-	table.InsertAll(keys)
-	res := table.DecodeParallelFrontier()
+	table.InsertAllWithPool(keys, parallel.Default())
+	res := decodeOn(table, parallel.Default(), true)
 	if !res.Complete {
 		t.Fatal("frontier decode failed at load 0.5")
 	}
@@ -26,10 +28,10 @@ func TestFrontierMatchesFullScanDecode(t *testing.T) {
 		cells := 9000
 		keys := randomKeys(int(load*float64(cells)), uint64(31+int(100*load)))
 		a := New(cells, 3, 77)
-		a.InsertAll(keys)
+		a.InsertAllWithPool(keys, parallel.Default())
 		b := a.Clone()
-		fullScan := a.DecodeParallel()
-		frontier := b.DecodeParallelFrontier()
+		fullScan := decodeOn(a, parallel.Default(), false)
+		frontier := decodeOn(b, parallel.Default(), true)
 		if fullScan.Complete != frontier.Complete {
 			t.Errorf("load %v: complete %v vs %v", load, fullScan.Complete, frontier.Complete)
 		}
@@ -46,12 +48,12 @@ func TestFrontierReconciliation(t *testing.T) {
 	onlyB := randomKeys(130, 34)
 	ta := New(1024, 4, 5)
 	tb := New(1024, 4, 5)
-	ta.InsertAll(common)
-	ta.InsertAll(onlyA)
-	tb.InsertAll(common)
-	tb.InsertAll(onlyB)
+	ta.InsertAllWithPool(common, parallel.Default())
+	ta.InsertAllWithPool(onlyA, parallel.Default())
+	tb.InsertAllWithPool(common, parallel.Default())
+	tb.InsertAllWithPool(onlyB, parallel.Default())
 	ta.Subtract(tb)
-	res := ta.DecodeParallelFrontier()
+	res := decodeOn(ta, parallel.Default(), true)
 	if !res.Complete || !equalSets(res.Added, onlyA) || !equalSets(res.Removed, onlyB) {
 		t.Fatal("frontier reconciliation failed")
 	}
@@ -62,8 +64,8 @@ func TestFrontierQuick(t *testing.T) {
 		n := int(nRaw%300) + 1
 		keys := randomKeys(n, seed)
 		table := New(n*3+32, 4, seed^0x77)
-		table.InsertAll(keys)
-		res := table.DecodeParallelFrontier()
+		table.InsertAllWithPool(keys, parallel.Default())
+		res := decodeOn(table, parallel.Default(), true)
 		return res.Complete && equalSets(res.Added, keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(7))}); err != nil {
@@ -74,7 +76,7 @@ func TestFrontierQuick(t *testing.T) {
 func TestGetSemantics(t *testing.T) {
 	table := New(3000, 3, 9)
 	keys := randomKeys(100, 40) // sparse: most cells pure or empty
-	table.InsertAll(keys)
+	table.InsertAllWithPool(keys, parallel.Default())
 
 	present, unknown := 0, 0
 	for _, k := range keys {
@@ -119,7 +121,7 @@ func TestGetResultString(t *testing.T) {
 func TestListEntriesNonDestructive(t *testing.T) {
 	keys := randomKeys(500, 42)
 	table := New(2000, 3, 11)
-	table.InsertAll(keys)
+	table.InsertAllWithPool(keys, parallel.Default())
 	added, removed, ok := table.ListEntries()
 	if !ok || len(removed) != 0 || !equalSets(added, keys) {
 		t.Fatal("ListEntries wrong")
@@ -137,11 +139,11 @@ func TestNetCount(t *testing.T) {
 		t.Fatal("fresh table not empty")
 	}
 	keys := randomKeys(77, 43)
-	table.InsertAll(keys)
+	table.InsertAllWithPool(keys, parallel.Default())
 	if got := table.NetCount(); got != 77 {
 		t.Errorf("NetCount = %d, want 77", got)
 	}
-	table.DeleteAll(keys[:30])
+	table.DeleteAllWithPool(keys[:30], parallel.Default())
 	if got := table.NetCount(); got != 47 {
 		t.Errorf("NetCount after deletes = %d, want 47", got)
 	}
@@ -153,7 +155,7 @@ func TestNetCount(t *testing.T) {
 func TestWireRoundTrip(t *testing.T) {
 	keys := randomKeys(800, 44)
 	table := New(2048, 4, 99)
-	table.InsertAll(keys)
+	table.InsertAllWithPool(keys, parallel.Default())
 	data, err := table.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +180,8 @@ func TestWireReconciliationAcrossTheWire(t *testing.T) {
 	onlyA := randomKeys(90, 46)
 	onlyB := randomKeys(80, 47)
 	ta := New(1024, 3, 1234)
-	ta.InsertAll(common)
-	ta.InsertAll(onlyA)
+	ta.InsertAllWithPool(common, parallel.Default())
+	ta.InsertAllWithPool(onlyA, parallel.Default())
 
 	wire, err := ta.MarshalBinary()
 	if err != nil {
@@ -187,8 +189,8 @@ func TestWireReconciliationAcrossTheWire(t *testing.T) {
 	}
 
 	tb := New(1024, 3, 1234)
-	tb.InsertAll(common)
-	tb.InsertAll(onlyB)
+	tb.InsertAllWithPool(common, parallel.Default())
+	tb.InsertAllWithPool(onlyB, parallel.Default())
 
 	var fromA Table
 	if err := fromA.UnmarshalBinary(wire); err != nil {
@@ -237,13 +239,13 @@ func TestWireDeterministic(t *testing.T) {
 func BenchmarkDecodeParallelFrontier(b *testing.B) {
 	keys := randomKeys(3<<12, 1)
 	master := New(1<<14, 3, 1)
-	master.InsertAll(keys)
+	master.InsertAllWithPool(keys, parallel.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		table := master.Clone()
 		b.StartTimer()
-		if res := table.DecodeParallelFrontier(); !res.Complete {
+		if res := decodeOn(table, parallel.Default(), true); !res.Complete {
 			b.Fatal("decode failed")
 		}
 	}
@@ -251,7 +253,7 @@ func BenchmarkDecodeParallelFrontier(b *testing.B) {
 
 func BenchmarkMarshalBinary(b *testing.B) {
 	table := New(1<<14, 3, 1)
-	table.InsertAll(randomKeys(1<<12, 1))
+	table.InsertAllWithPool(randomKeys(1<<12, 1), parallel.Default())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -69,13 +69,6 @@ func (e *StrataEstimator) Insert(x uint64) {
 	e.strata[e.stratumOf(x)].Insert(x)
 }
 
-// InsertAll adds keys (sequentially; estimators are tiny).
-func (e *StrataEstimator) InsertAll(keys []uint64) {
-	for _, k := range keys {
-		e.Insert(k)
-	}
-}
-
 // InsertAllWithPool adds keys in parallel on an explicit worker pool:
 // each worker hashes its chunk's keys to their strata and applies them
 // with atomic cell updates, so the stratified insert pass — the serial
@@ -83,7 +76,8 @@ func (e *StrataEstimator) InsertAll(keys []uint64) {
 // paths instead of serializing in front of them. The tables are tiny
 // (concurrent updates contend on few cells), but the per-key hashing,
 // which dominates, fans out fully. The resulting estimator is
-// cell-for-cell identical to a serial InsertAll (XOR updates commute).
+// cell-for-cell identical to one filled by serial Inserts (XOR updates
+// commute).
 func (e *StrataEstimator) InsertAllWithPool(keys []uint64, pool *parallel.Pool) {
 	_ = e.insertAllCtx(context.Background(), keys, pool)
 }
@@ -274,11 +268,11 @@ func ReconcileCtx(ctx context.Context, localKeys, remoteKeys []uint64, seed uint
 		cells = 48
 	}
 	lt := New(cells, 3, rng.Mix64(seed^0x2545f4914f6cdd1d))
-	if err := lt.InsertAllCtx(ctx, localKeys, pool); err != nil {
+	if err := lt.applyAllCtx(ctx, localKeys, 1, pool); err != nil {
 		return nil, nil, wireBytes, err
 	}
 	rt := New(cells, 3, rng.Mix64(seed^0x2545f4914f6cdd1d))
-	if err := rt.InsertAllCtx(ctx, remoteKeys, pool); err != nil {
+	if err := rt.applyAllCtx(ctx, remoteKeys, 1, pool); err != nil {
 		return nil, nil, wireBytes, err
 	}
 	wireBytes += rt.WireSize()

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // TestStrataWireRejectsNonCanonicalStrata covers the Subtract-panic
@@ -13,7 +15,7 @@ import (
 // honest estimator, a crash an attacker could trigger with one datagram.
 func TestStrataWireRejectsNonCanonicalStrata(t *testing.T) {
 	e := NewStrataEstimator(7)
-	e.InsertAll([]uint64{1, 2, 3, 4, 5})
+	e.InsertAllWithPool([]uint64{1, 2, 3, 4, 5}, parallel.Default())
 	valid, err := e.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func TestStrataWireRejectsNonCanonicalStrata(t *testing.T) {
 // estimator that detonates later.
 func FuzzStrataUnmarshal(f *testing.F) {
 	e := NewStrataEstimator(42)
-	e.InsertAll([]uint64{10, 20, 30})
+	e.InsertAllWithPool([]uint64{10, 20, 30}, parallel.Default())
 	seedData, _ := e.MarshalBinary()
 	f.Add(seedData)
 	f.Add([]byte{})

@@ -22,7 +22,7 @@ func TestStrataInsertAllWithPool(t *testing.T) {
 		}
 	}
 	want := NewStrataEstimator(42)
-	want.InsertAll(keys)
+	want.InsertAllWithPool(keys, parallel.Default())
 	wb, err := want.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -100,14 +100,14 @@ func TestReconcileCtxCancel(t *testing.T) {
 		t.Fatalf("ReconcileCtx(canceled): %v", err)
 	}
 	tb := New(15000, 3, 9)
-	tb.InsertAll(keys)
+	tb.InsertAllWithPool(keys, parallel.Default())
 	if _, err := tb.Clone().DecodeParallelCtx(ctx, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DecodeParallelCtx(canceled): %v", err)
 	}
 	if _, err := tb.Clone().DecodeParallelFrontierCtx(ctx, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DecodeParallelFrontierCtx(canceled): %v", err)
 	}
-	if err := tb.Clone().InsertAllCtx(ctx, keys, pool); !errors.Is(err, context.Canceled) {
-		t.Fatalf("InsertAllCtx(canceled): %v", err)
+	if err := tb.Clone().applyAllCtx(ctx, keys, 1, pool); !errors.Is(err, context.Canceled) {
+		t.Fatalf("applyAllCtx(canceled): %v", err)
 	}
 }

@@ -23,11 +23,11 @@ func TestStrataEstimateAccuracy(t *testing.T) {
 		onlyB := randomKeys(diff-diff/2, uint64(52+diff))
 
 		ea := NewStrataEstimator(7)
-		ea.InsertAll(common)
-		ea.InsertAll(onlyA)
+		ea.InsertAllWithPool(common, parallel.Default())
+		ea.InsertAllWithPool(onlyA, parallel.Default())
 		eb := NewStrataEstimator(7)
-		eb.InsertAll(common)
-		eb.InsertAll(onlyB)
+		eb.InsertAllWithPool(common, parallel.Default())
+		eb.InsertAllWithPool(onlyB, parallel.Default())
 		ea.Subtract(eb)
 		est := ea.Estimate()
 		if est < diff/3 || est > diff*3 {
@@ -39,9 +39,9 @@ func TestStrataEstimateAccuracy(t *testing.T) {
 func TestStrataZeroDifference(t *testing.T) {
 	keys := randomKeys(5000, 60)
 	ea := NewStrataEstimator(9)
-	ea.InsertAll(keys)
+	ea.InsertAllWithPool(keys, parallel.Default())
 	eb := NewStrataEstimator(9)
-	eb.InsertAll(keys)
+	eb.InsertAllWithPool(keys, parallel.Default())
 	ea.Subtract(eb)
 	if est := ea.Estimate(); est != 0 {
 		t.Errorf("identical sets estimated difference %d", est)
@@ -115,7 +115,7 @@ func TestReconcileIdenticalSets(t *testing.T) {
 
 func TestStrataWireRoundTrip(t *testing.T) {
 	e := NewStrataEstimator(41)
-	e.InsertAll(randomKeys(3000, 90))
+	e.InsertAllWithPool(randomKeys(3000, 90), parallel.Default())
 	data, err := e.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/iblt"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -80,7 +81,7 @@ func TestClientRoundTrips(t *testing.T) {
 	t.Run("decode", func(t *testing.T) {
 		keys := keysOf(3000, 4)
 		tbl := iblt.New(5000, 3, 99)
-		tbl.InsertAll(keys)
+		tbl.InsertAllWithPool(keys, parallel.Default())
 		wire, err := tbl.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -179,9 +180,9 @@ func TestClientRoundTrips(t *testing.T) {
 
 	t.Run("estimate", func(t *testing.T) {
 		le := iblt.NewStrataEstimator(77)
-		le.InsertAll(keysOf(5000, 8))
+		le.InsertAllWithPool(keysOf(5000, 8), parallel.Default())
 		re := iblt.NewStrataEstimator(77)
-		re.InsertAll(keysOf(5000, 8)[:4800]) // 200 missing
+		re.InsertAllWithPool(keysOf(5000, 8)[:4800], parallel.Default()) // 200 missing
 		lw, _ := le.MarshalBinary()
 		rw, _ := re.MarshalBinary()
 		est, err := cl.Estimate(ctx, lw, rw)

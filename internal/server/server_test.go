@@ -257,6 +257,84 @@ func TestHostileReconcileFramesRejected(t *testing.T) {
 	}
 }
 
+// hostileWireTable zeroes every cell outside subtable 0 of the iblt wire
+// table in b (24-byte header, then 24-byte cells). A key inserted into
+// the table then sits alone, pure, in its subtable-0 cell, and every
+// recovery re-creates it with the opposite sign in the other subtables.
+func hostileWireTable(b []byte, cells, r int) {
+	const header, cell = 24, 24
+	for i := cells / r; i < cells; i++ {
+		clear(b[header+i*cell : header+(i+1)*cell])
+	}
+}
+
+// TestHostileSketchFramesAnswered: a valid but hostile sketch — one key
+// alone in its subtable-0 cell — used to make every decoder recover it
+// as added, then as removed, forever. With deadline 0 on a server with
+// no job timeout nothing else bounds the job, so an OpDecode frame ran
+// until the client left and an OpEstimate frame (whose serial strata
+// decode takes no ctx) never returned. The decoders' recovery cap must
+// answer both within a second, without a panic.
+func TestHostileSketchFramesAnswered(t *testing.T) {
+	srv, addr := startServer(t, Options{Workers: 2})
+	nc := dialRaw(t, addr)
+
+	tbl := iblt.New(48, 3, 11)
+	tbl.Insert(0xfeed)
+	sketch, err := tbl.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostileWireTable(sketch, tbl.Cells(), tbl.R())
+
+	est := iblt.NewStrataEstimator(12)
+	est.Insert(0xfeed)
+	local, err := est.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := iblt.NewStrataEstimator(12).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The estimator is an 8-byte seed and 32 strata of 81 cells (r = 3);
+	// only the stratum holding the key has nonzero cells.
+	const stratumBytes = 24 + 81*24
+	for off := 8; off < len(local); off += stratumBytes {
+		hostileWireTable(local[off:off+stratumBytes], 81, 3)
+	}
+
+	for i, f := range []struct {
+		op      byte
+		payload []byte
+	}{
+		{OpDecode, EncodeDecodeReq(0, sketch)},
+		{OpEstimate, EncodeEstimateReq(0, local, remote)},
+	} {
+		id := uint64(i + 1)
+		if _, err := nc.Write(appendFrame(nil, f.op, id, f.payload)); err != nil {
+			t.Fatalf("op %#x: write: %v", f.op, err)
+		}
+		nc.SetReadDeadline(time.Now().Add(time.Second))
+		typ, gotID, payload, err := readFrame(nc, DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("op %#x: no reply within 1s: %v", f.op, err)
+		}
+		if typ != TypeResult || gotID != id {
+			t.Fatalf("op %#x: reply typ=%#x id=%d, want RESULT id=%d", f.op, typ, gotID, id)
+		}
+		if f.op == OpDecode {
+			res, err := ParseDecodeResult(payload)
+			if err != nil || res.Complete {
+				t.Fatalf("hostile sketch: %+v (parse err %v), want an incomplete decode", res, err)
+			}
+		}
+	}
+	if n := srv.Runtime().Stats().JobsPanicked; n != 0 {
+		t.Fatalf("%d jobs panicked on hostile sketches, want 0", n)
+	}
+}
+
 // TestConnDeathCancelsHandlers: a handler admitted for a connection
 // that has since died must be reclaimed — request contexts derive from
 // the connection's context, which run cancels on exit — instead of a

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -39,7 +40,7 @@ func (in *Instance) M() int { return len(in.RHS) }
 // Random returns an instance with m equations over n variables, each over
 // r distinct uniform variables with a uniform right-hand side.
 func Random(n, m, r int, gen *rng.RNG) *Instance {
-	g := hypergraph.Uniform(n, m, r, gen)
+	g := hypergraph.Uniform(n, m, r, gen, parallel.Default())
 	rhs := make([]uint8, m)
 	for e := range rhs {
 		rhs[e] = uint8(gen.Uint64() & 1)
@@ -51,7 +52,7 @@ func Random(n, m, r int, gen *rng.RNG) *Instance {
 // consistent with a hidden uniform assignment, which it also returns.
 // Useful for testing the solver above the satisfiability threshold.
 func RandomSatisfiable(n, m, r int, gen *rng.RNG) (*Instance, []uint8) {
-	g := hypergraph.Uniform(n, m, r, gen)
+	g := hypergraph.Uniform(n, m, r, gen, parallel.Default())
 	planted := make([]uint8, n)
 	for v := range planted {
 		planted[v] = uint8(gen.Uint64() & 1)

@@ -74,20 +74,20 @@ type RecurrenceParams = recurrence.Params
 // NewUniformHypergraph returns the paper's G^r_{n,m} model: m edges, each
 // a uniform r-subset of [0, n), generated deterministically from seed.
 func NewUniformHypergraph(n, m, r int, seed uint64) *Hypergraph {
-	return hypergraph.Uniform(n, m, r, rng.New(seed))
+	return hypergraph.Uniform(n, m, r, rng.New(seed), parallel.Default())
 }
 
 // NewBinomialHypergraph returns the paper's G^r_c model on n vertices
 // with edge density c (edge count Poisson(cn)).
 func NewBinomialHypergraph(n int, c float64, r int, seed uint64) *Hypergraph {
-	return hypergraph.Binomial(n, c, r, rng.New(seed))
+	return hypergraph.Binomial(n, c, r, rng.New(seed), parallel.Default())
 }
 
 // NewPartitionedHypergraph returns the Appendix B model: n vertices (n
 // divisible by r) split into r subtables, each edge containing one
 // uniform vertex per subtable.
 func NewPartitionedHypergraph(n, m, r int, seed uint64) *Hypergraph {
-	return hypergraph.Partitioned(n, m, r, rng.New(seed))
+	return hypergraph.Partitioned(n, m, r, rng.New(seed), parallel.Default())
 }
 
 // Peel runs the classic sequential greedy peel to the k-core, returning
@@ -104,8 +104,9 @@ func PeelOrdered(g *Hypergraph, k int) *OrderedPeelResult {
 	res, err := DefaultRuntime().PeelOrdered(context.Background(), g, k, PeelOptions{})
 	if err != nil {
 		// Only reachable if the default Runtime was shut down; keep the
-		// cannot-fail contract on the self-healing default pool.
-		return core.ParallelOrder(g, k, core.Options{})
+		// cannot-fail contract on the self-healing default pool (without
+		// a deadline the ordered peel cannot fail).
+		res, _ = core.ParallelOrderCtx(context.Background(), g, k, core.Options{})
 	}
 	return res
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // These tests exercise the public facade end to end, mirroring what the
@@ -73,7 +75,7 @@ func TestFacadeSubtables(t *testing.T) {
 func TestFacadeIBLT(t *testing.T) {
 	tbl := NewIBLT(4096, 3, 3)
 	keys := []uint64{10, 20, 30, 40, 50}
-	tbl.InsertAll(keys)
+	tbl.InsertAllWithPool(keys, parallel.Default())
 	added, removed, ok := tbl.Decode()
 	if !ok || len(added) != len(keys) || len(removed) != 0 {
 		t.Fatalf("facade IBLT decode: ok=%v added=%d removed=%d", ok, len(added), len(removed))

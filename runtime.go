@@ -436,6 +436,22 @@ func (rt *Runtime) runJob(ctx context.Context, job func(ctx context.Context, poo
 	return rt.execute(ctx, job)
 }
 
+// jobResult is runJob for jobs that produce a value: it returns the
+// job's value, or the zero value and the job's (or admission's) error.
+func jobResult[T any](ctx context.Context, rt *Runtime, job func(ctx context.Context, pool *parallel.Pool) (T, error)) (T, error) {
+	var res T
+	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
+		var err error
+		res, err = job(ctx, pool)
+		return err
+	})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return res, nil
+}
+
 // execute runs an already admitted job on the current goroutine,
 // registering it with the pool (for drain accounting), recovering any
 // panic at the job boundary (ErrJobPanicked), and recording
@@ -580,17 +596,10 @@ func (rt *Runtime) Shutdown(ctx context.Context) error {
 // Cancellation is checked at every round barrier: a canceled peel stops
 // within one round of extra work and returns (nil, ctx.Err()).
 func (rt *Runtime) Peel(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*PeelResult, error) {
-	var res *PeelResult
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
+	return jobResult(ctx, rt, func(ctx context.Context, pool *parallel.Pool) (*PeelResult, error) {
 		opts.Pool = pool
-		var err error
-		res, err = core.ParallelCtx(ctx, g, k, opts)
-		return err
+		return core.ParallelCtx(ctx, g, k, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // PeelOrdered runs the ordered round-synchronous peeling process on the
@@ -600,34 +609,20 @@ func (rt *Runtime) Peel(ctx context.Context, g *Hypergraph, k int, opts PeelOpti
 // worker count (see core.OrderedResult). Cancellation is checked at
 // every round barrier.
 func (rt *Runtime) PeelOrdered(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*OrderedPeelResult, error) {
-	var res *OrderedPeelResult
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
+	return jobResult(ctx, rt, func(ctx context.Context, pool *parallel.Pool) (*OrderedPeelResult, error) {
 		opts.Pool = pool
-		var err error
-		res, err = core.ParallelOrderCtx(ctx, g, k, opts)
-		return err
+		return core.ParallelOrderCtx(ctx, g, k, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // PeelSubtables runs the Appendix B subround peeling process on the
 // shared pool; g must be partitioned. Cancellation is checked at every
 // subround barrier.
 func (rt *Runtime) PeelSubtables(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*PeelResult, error) {
-	var res *PeelResult
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
+	return jobResult(ctx, rt, func(ctx context.Context, pool *parallel.Pool) (*PeelResult, error) {
 		opts.Pool = pool
-		var err error
-		res, err = core.SubtablesCtx(ctx, g, k, opts)
-		return err
+		return core.SubtablesCtx(ctx, g, k, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // Decode peels an IBLT with the work-efficient parallel frontier
@@ -636,16 +631,7 @@ func (rt *Runtime) PeelSubtables(ctx context.Context, g *Hypergraph, k int, opts
 // partially decoded (discard it). Cancellation is checked at every
 // subround barrier.
 func (rt *Runtime) Decode(ctx context.Context, t *IBLT) (*IBLTParallelResult, error) {
-	var res *IBLTParallelResult
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		var err error
-		res, err = t.DecodeParallelFrontierCtx(ctx, pool)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return jobResult(ctx, rt, t.DecodeParallelFrontierCtx)
 }
 
 // BuildMPHF builds a minimal perfect hash function over distinct keys
@@ -661,16 +647,9 @@ func (rt *Runtime) Decode(ctx context.Context, t *IBLT) (*IBLTParallelResult, er
 // fails (ErrMPHFBuildFailed) is retried with a jittered escalated seed;
 // duplicate-key errors, cancellations, and panics are never retried.
 func (rt *Runtime) BuildMPHF(ctx context.Context, keys []uint64, seed uint64) (*MPHF, error) {
-	var f *MPHF
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		var err error
-		f, err = rt.policy.BuildMPHF(ctx, keys, seed, pool)
-		return err
+	return jobResult(ctx, rt, func(ctx context.Context, pool *parallel.Pool) (*MPHF, error) {
+		return rt.policy.BuildMPHF(ctx, keys, seed, pool)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // BuildStaticMap builds an immutable key → value map (Bloomier filter)
@@ -683,16 +662,9 @@ func (rt *Runtime) BuildMPHF(ctx context.Context, keys []uint64, seed uint64) (*
 //
 // Build retries under a Policy behave exactly as in BuildMPHF.
 func (rt *Runtime) BuildStaticMap(ctx context.Context, keys, values []uint64, seed uint64) (*StaticMap, error) {
-	var f *StaticMap
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		var err error
-		f, err = rt.policy.BuildStaticMap(ctx, keys, values, seed, pool)
-		return err
+	return jobResult(ctx, rt, func(ctx context.Context, pool *parallel.Pool) (*StaticMap, error) {
+		return rt.policy.BuildStaticMap(ctx, keys, values, seed, pool)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // Reconcile runs the full two-message IBLT set-reconciliation protocol
@@ -734,16 +706,9 @@ func (rt *Runtime) ReconcileMeta(ctx context.Context, local, remote []uint64, se
 // for data, with the per-symbol cell updates fanned out over the shared
 // pool (cell-for-cell identical to the serial encoder).
 func (rt *Runtime) EncodeErasure(ctx context.Context, code *ErasureCode, data []uint64) ([]ErasureCell, error) {
-	var checks []ErasureCell
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		var err error
-		checks, err = code.EncodeCtx(ctx, data, pool)
-		return err
+	return jobResult(ctx, rt, func(ctx context.Context, pool *parallel.Pool) ([]ErasureCell, error) {
+		return code.EncodeCtx(ctx, data, pool)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return checks, nil
 }
 
 // DecodeErasure reconstructs the missing entries of data in place

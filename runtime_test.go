@@ -40,8 +40,8 @@ func TestRuntimeServesAllWorkloads(t *testing.T) {
 	if err != nil || !res.Empty() {
 		t.Fatalf("Peel: err=%v empty=%v", err, err == nil && res.Empty())
 	}
-	if want := core.Parallel(g, 2, core.Options{}); res.Rounds != want.Rounds || res.CoreVertices != want.CoreVertices {
-		t.Fatalf("Runtime.Peel diverges from core.Parallel: %d/%d vs %d/%d",
+	if want, _ := core.ParallelCtx(context.Background(), g, 2, core.Options{}); res.Rounds != want.Rounds || res.CoreVertices != want.CoreVertices {
+		t.Fatalf("Runtime.Peel diverges from core.ParallelCtx: %d/%d vs %d/%d",
 			res.Rounds, res.CoreVertices, want.Rounds, want.CoreVertices)
 	}
 	pg := NewPartitionedHypergraph(3*20000, 40000, 3, 2)
@@ -52,7 +52,7 @@ func TestRuntimeServesAllWorkloads(t *testing.T) {
 	// IBLT decode.
 	keys := testRuntimeKeys(20000, 3)
 	table := NewIBLT(30000, 3, 99)
-	table.InsertAll(keys)
+	table.InsertAllWithPool(keys, rt.Pool())
 	dres, err := rt.Decode(ctx, table.Clone())
 	if err != nil || !dres.Complete || len(dres.Added) != len(keys) {
 		t.Fatalf("Decode: err=%v complete=%v added=%d", err, dres != nil && dres.Complete, len(dres.Added))
@@ -172,7 +172,7 @@ func TestRuntimeCancellation(t *testing.T) {
 	}
 	keys := testRuntimeKeys(5000, 1)
 	table := NewIBLT(8000, 3, 5)
-	table.InsertAll(keys)
+	table.InsertAllWithPool(keys, rt.Pool())
 	if _, err := rt.Decode(ctx, table.Clone()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Decode(canceled): %v", err)
 	}

@@ -283,15 +283,9 @@ func (rt *Runtime) Lookup(tbl *StaticTable, key uint64) (uint64, bool) {
 // from an image; release is where an mmap of the outgoing image gets
 // unmapped.
 func (rt *Runtime) Swap(ctx context.Context, tbl *StaticTable, fn StaticFunc, release func()) (uint64, error) {
-	var gen uint64
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		gen = tbl.Swap(fn, release)
-		return nil
+	return jobResult(ctx, rt, func(context.Context, *parallel.Pool) (uint64, error) {
+		return tbl.Swap(fn, release), nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return gen, nil
 }
 
 // SwapImage validates data as a flat image and installs it as tbl's
@@ -301,16 +295,9 @@ func (rt *Runtime) Swap(ctx context.Context, tbl *StaticTable, fn StaticFunc, re
 // table serving its current generation, and is counted in
 // tbl.SwapRejections.
 func (rt *Runtime) SwapImage(ctx context.Context, tbl *StaticTable, data []byte, release func()) (uint64, error) {
-	var gen uint64
-	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		var jerr error
-		gen, jerr = tbl.SwapImage(data, release)
-		return jerr
+	return jobResult(ctx, rt, func(context.Context, *parallel.Pool) (uint64, error) {
+		return tbl.SwapImage(data, release)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return gen, nil
 }
 
 // RebuildStaticMap builds a static map over (keys, values) as an
