@@ -17,7 +17,7 @@ import (
 func main() {
 	// Sized so the dense GF(2) elimination on the ~n/2-equation core in
 	// the middle regime stays in seconds; peeling itself scales far
-	// beyond this (see cmd/peelsim), but the Gauss stage is cubic.
+	// beyond this (see cmd/experiments table1), but the Gauss stage is cubic.
 	const n = 20_000
 	cstar, _ := repro.Threshold(2, 3)
 	fmt.Printf("random 3-XORSAT over %d variables (peel threshold %.4f, SAT threshold ~0.917)\n\n", n, cstar)

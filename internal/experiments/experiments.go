@@ -1,10 +1,11 @@
 // Package experiments contains one runner per table and figure in the
 // evaluation of Jiang, Mitzenmacher, and Thaler, "Parallel Peeling
 // Algorithms" (SPAA 2014), plus the Theorem 5 gap-dependence sweep and
-// the round-growth fits that check Theorems 1 and 3. Each runner takes an
-// explicit config (so tests run scaled-down versions and the cmd/
-// binaries run the paper's full sizes), returns typed rows, and renders a
-// table matching the paper's layout.
+// the round-growth fits that check Theorems 1 and 3, and the
+// design-choice ablations. Each runner takes an explicit config (tests run
+// scaled-down versions; cmd/experiments runs a laptop preset, or the
+// paper's full sizes with -full), returns typed rows, and renders a table
+// matching the paper's layout.
 //
 // The runners call the ctx-checked peelers and decoders under
 // context.Background. Their only error is cancellation, which that
@@ -58,9 +59,8 @@ type Table1Config struct {
 	Seed   uint64
 }
 
-// DefaultTable1 returns the paper's configuration scaled by size (1 = the
-// full Table 1; smaller sizes shrink Ns and Trials proportionally so the
-// sweep stays laptop-friendly).
+// DefaultTable1 returns the paper's full Table 1 configuration: n from
+// 10000 to 2560000, 1000 trials per cell.
 func DefaultTable1() Table1Config {
 	return Table1Config{
 		K: 2, R: 4,

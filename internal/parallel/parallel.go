@@ -18,9 +18,9 @@
 // what CPU peeling systems (GBBS-style bucketing structures) get from
 // per-worker buffers.
 //
-// The package-level For runs on a lazily created process-wide default
-// pool (see Default and SetDefaultWorkers), so code that does not care
-// about pool management still benefits from persistent workers.
+// Default returns a lazily created process-wide pool (sized by
+// SetDefaultWorkers), so code that does not care about pool management
+// still benefits from persistent workers.
 package parallel
 
 import (
@@ -32,19 +32,6 @@ import (
 // Workers returns the default degree of parallelism: GOMAXPROCS. Pools
 // created with NewPool(0) and the default pool use this size.
 func Workers() int { return runtime.GOMAXPROCS(0) }
-
-// For executes fn over the index range [0, n) in parallel on the shared
-// default pool, handing workers contiguous chunks of at most grain
-// indices. fn must be safe to call concurrently on disjoint ranges, and
-// must not itself call For (or anything on the default pool): the pool's
-// workers do not steal nested work, so reentrant submission can
-// deadlock. For blocks until all chunks are done. A grain <= 0 selects a
-// default that gives each worker a few chunks for load balancing.
-// Callers that want per-worker sharding instead of atomics should use
-// Pool.For, which passes the worker ID.
-func For(n, grain int, fn func(lo, hi int)) {
-	Default().For(n, grain, func(_, lo, hi int) { fn(lo, hi) })
-}
 
 // Bitset is a fixed-size set of bits supporting atomic operations. It is
 // used to claim edges (each edge must be peeled exactly once even when
@@ -71,11 +58,6 @@ func (b *Bitset) Get(i int) bool {
 // Set sets bit i non-atomically. Use only during single-threaded setup.
 func (b *Bitset) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// AtomicGet reports whether bit i is set using an atomic load.
-func (b *Bitset) AtomicGet(i int) bool {
-	return atomic.LoadUint64(&b.words[i>>6])&(1<<(uint(i)&63)) != 0
 }
 
 // AtomicSet sets bit i with a CAS loop, returning true if this call

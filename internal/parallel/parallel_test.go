@@ -9,7 +9,7 @@ import (
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 10000, 131071} {
 		marks := make([]int32, n)
-		For(n, 64, func(lo, hi int) {
+		Default().For(n, 64, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&marks[i], 1)
 			}
@@ -24,7 +24,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 
 func TestForDefaultGrain(t *testing.T) {
 	var total atomic.Int64
-	For(100000, 0, func(lo, hi int) {
+	Default().For(100000, 0, func(_, lo, hi int) {
 		total.Add(int64(hi - lo))
 	})
 	if got := total.Load(); got != 100000 {
@@ -34,15 +34,15 @@ func TestForDefaultGrain(t *testing.T) {
 
 func TestForNegativeAndZero(t *testing.T) {
 	called := false
-	For(0, 10, func(lo, hi int) { called = true })
-	For(-5, 10, func(lo, hi int) { called = true })
+	Default().For(0, 10, func(_, lo, hi int) { called = true })
+	Default().For(-5, 10, func(_, lo, hi int) { called = true })
 	if called {
 		t.Error("For called fn for empty range")
 	}
 }
 
 func TestForChunkBounds(t *testing.T) {
-	For(1000, 64, func(lo, hi int) {
+	Default().For(1000, 64, func(_, lo, hi int) {
 		if lo < 0 || hi > 1000 || lo >= hi {
 			t.Errorf("bad chunk [%d, %d)", lo, hi)
 		}
@@ -107,13 +107,13 @@ func TestBitsetAtomicSetClaimsOnce(t *testing.T) {
 	}
 }
 
-func TestBitsetAtomicGet(t *testing.T) {
+func TestBitsetGetAfterAtomicSet(t *testing.T) {
 	b := NewBitset(128)
-	if b.AtomicGet(77) {
+	if b.Get(77) {
 		t.Error("fresh bit set")
 	}
 	b.AtomicSet(77)
-	if !b.AtomicGet(77) {
+	if !b.Get(77) {
 		t.Error("bit lost")
 	}
 }

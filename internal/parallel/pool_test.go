@@ -196,9 +196,9 @@ func TestDefaultPoolAndSetWorkers(t *testing.T) {
 		t.Fatalf("Default().Workers() = %d after SetDefaultWorkers(3)", got)
 	}
 	var total atomic.Int64
-	For(1000, 64, func(lo, hi int) { total.Add(int64(hi - lo)) })
+	Default().For(1000, 64, func(_, lo, hi int) { total.Add(int64(hi - lo)) })
 	if got := total.Load(); got != 1000 {
-		t.Errorf("package For covered %d indices on resized pool", got)
+		t.Errorf("Default().For covered %d indices on resized pool", got)
 	}
 	SetDefaultWorkers(0)
 	if got := Default().Workers(); got != Workers() {

@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -248,7 +247,7 @@ func dialConn(ctx context.Context, addr string, opts Options) (*clientConn, erro
 func (cc *clientConn) readLoop(maxFrame int) {
 	var exitErr error
 	for {
-		typ, id, payload, err := readFrame(cc.nc, maxFrame)
+		typ, id, payload, err := server.ReadFrame(cc.nc, maxFrame)
 		if err != nil {
 			exitErr = err
 			break
@@ -277,25 +276,6 @@ func (cc *clientConn) readLoop(maxFrame int) {
 	cc.mu.Unlock()
 }
 
-// readFrame mirrors the server's bounded frame reader.
-func readFrame(r io.Reader, maxFrame int) (typ byte, id uint64, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	length := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
-	if length < 9 || length > maxFrame {
-		return 0, 0, nil, fmt.Errorf("client: bad frame length %d", length)
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
-	}
-	id = uint64(body[1]) | uint64(body[2])<<8 | uint64(body[3])<<16 | uint64(body[4])<<24 |
-		uint64(body[5])<<32 | uint64(body[6])<<40 | uint64(body[7])<<48 | uint64(body[8])<<56
-	return body[0], id, body[9:], nil
-}
-
 // roundTrip sends one request on the current transport and waits for
 // its reply. errConnLost / errGoAway classify transport failures for
 // the retry loop above.
@@ -321,7 +301,7 @@ func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte) (reply,
 	cc.mu.Unlock()
 
 	cc.writeMu.Lock()
-	cc.wbuf = appendFrame(cc.wbuf[:0], op, id, payload)
+	cc.wbuf = server.AppendFrame(cc.wbuf[:0], op, id, payload)
 	_, werr := cc.nc.Write(cc.wbuf)
 	cc.writeMu.Unlock()
 	if werr != nil {
@@ -345,14 +325,6 @@ func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte) (reply,
 		cc.mu.Unlock()
 		return reply{}, ctx.Err()
 	}
-}
-
-// appendFrame mirrors the server's frame builder.
-func appendFrame(buf []byte, typ byte, id uint64, payload []byte) []byte {
-	n := uint32(1 + 8 + len(payload))
-	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24), typ)
-	buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24), byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
-	return append(buf, payload...)
 }
 
 // call runs the retry loop around roundTrip: OVERLOADED and

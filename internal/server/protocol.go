@@ -38,7 +38,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"time"
@@ -187,38 +186,6 @@ var (
 	// connection is closed after it.
 	ErrProtocol = errors.New("server: protocol error")
 )
-
-// readFrame reads one frame from r, bounding the length prefix by
-// maxFrame before allocating the payload. Protocol violations are
-// reported as ErrProtocol wrappers; io errors pass through.
-func readFrame(r io.Reader, maxFrame int) (typ byte, id uint64, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	length := int(binary.LittleEndian.Uint32(hdr[:]))
-	if length < frameOverhead {
-		return 0, 0, nil, fmt.Errorf("%w: frame length %d below header size", ErrProtocol, length)
-	}
-	if length > maxFrame {
-		return 0, 0, nil, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrProtocol, length, maxFrame)
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
-	}
-	return body[0], binary.LittleEndian.Uint64(body[1:9]), body[9:], nil
-}
-
-// appendFrame appends one encoded frame to buf and returns it — the
-// frame is built contiguously so the writer can hand the kernel a
-// single Write (no torn frame on a clean path).
-func appendFrame(buf []byte, typ byte, id uint64, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameOverhead+len(payload)))
-	buf = append(buf, typ)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	return append(buf, payload...)
-}
 
 // wireReader is an error-sticky bounds-checked cursor over a payload:
 // every read validates remaining length first, so hostile payloads can

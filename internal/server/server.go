@@ -307,7 +307,7 @@ func (c *conn) run() {
 	}
 
 	for {
-		typ, id, payload, err := readFrame(c.nc, c.s.opts.MaxFrame)
+		typ, id, payload, err := ReadFrame(c.nc, c.s.opts.MaxFrame)
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				c.s.framesRejected.Add(1)
@@ -547,7 +547,7 @@ func (c *conn) writeFrameLocked(typ byte, id uint64, payload []byte) error {
 	if c.dead {
 		return net.ErrClosed
 	}
-	c.wbuf = appendFrame(c.wbuf[:0], typ, id, payload)
+	c.wbuf = AppendFrame(c.wbuf[:0], typ, id, payload)
 	if faultinject.Enabled {
 		// Failpoint: an error tears the frame — only a prefix reaches
 		// the wire, then the connection dies, exactly like a crash

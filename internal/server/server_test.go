@@ -122,12 +122,12 @@ func TestMalformedFramesRejectedBeforeWork(t *testing.T) {
 		},
 		"unknown op": func(t *testing.T) {
 			nc := dialRaw(t, addr)
-			nc.Write(appendFrame(nil, 0x7f, 1, []byte{0, 0, 0, 0}))
+			nc.Write(AppendFrame(nil, 0x7f, 1, []byte{0, 0, 0, 0}))
 			expectClosed(t, nc)
 		},
 		"zero request id": func(t *testing.T) {
 			nc := dialRaw(t, addr)
-			nc.Write(appendFrame(nil, OpLookup, 0, []byte{0, 0, 0, 0}))
+			nc.Write(AppendFrame(nil, OpLookup, 0, []byte{0, 0, 0, 0}))
 			expectClosed(t, nc)
 		},
 	}
@@ -149,7 +149,7 @@ func readReply(t *testing.T, nc net.Conn) (byte, uint64, []byte) {
 	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(20 * time.Second))
 	for {
-		typ, id, payload, err := readFrame(nc, DefaultMaxFrame)
+		typ, id, payload, err := ReadFrame(nc, DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("read reply: %v", err)
 		}
@@ -169,7 +169,7 @@ func TestRequestDeadlineEnforced(t *testing.T) {
 	local := testKeys(150_000, 1)
 	remote := testKeys(150_000, 2)
 	req := EncodeReconcileReq(1 /* ms */, 7, 1.5, local, remote)
-	if _, err := nc.Write(appendFrame(nil, OpReconcile, 42, req)); err != nil {
+	if _, err := nc.Write(AppendFrame(nil, OpReconcile, 42, req)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	typ, id, payload := readReply(t, nc)
@@ -191,7 +191,7 @@ func TestRequestDeadlineEnforced(t *testing.T) {
 func TestShortPayloadGetsTypedReply(t *testing.T) {
 	_, addr := startServer(t, Options{Workers: 1})
 	nc := dialRaw(t, addr)
-	nc.Write(appendFrame(nil, OpLookup, 9, []byte{1, 2}))
+	nc.Write(AppendFrame(nil, OpLookup, 9, []byte{1, 2}))
 	typ, id, payload := readReply(t, nc)
 	if typ != TypeError || id != 9 {
 		t.Fatalf("reply typ=%#x id=%d, want ERROR id=9", typ, id)
@@ -232,7 +232,7 @@ func TestHostileReconcileFramesRejected(t *testing.T) {
 	for i, f := range hostile {
 		id := uint64(i + 1)
 		req := EncodeReconcileReq(0, 7, f.headroom, f.local, f.remote)
-		if _, err := nc.Write(appendFrame(nil, OpReconcile, id, req)); err != nil {
+		if _, err := nc.Write(AppendFrame(nil, OpReconcile, id, req)); err != nil {
 			t.Fatalf("write %+v: %v", f, err)
 		}
 		typ, gotID, payload := readReply(t, nc)
@@ -249,7 +249,7 @@ func TestHostileReconcileFramesRejected(t *testing.T) {
 
 	// The headroom ceiling with nonzero keys is a valid request.
 	req := EncodeReconcileReq(0, 7, iblt.MaxHeadroom, valid.local, valid.remote)
-	if _, err := nc.Write(appendFrame(nil, OpReconcile, 99, req)); err != nil {
+	if _, err := nc.Write(AppendFrame(nil, OpReconcile, 99, req)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if typ, id, _ := readReply(t, nc); typ != TypeResult || id != 99 {
@@ -312,11 +312,11 @@ func TestHostileSketchFramesAnswered(t *testing.T) {
 		{OpEstimate, EncodeEstimateReq(0, local, remote)},
 	} {
 		id := uint64(i + 1)
-		if _, err := nc.Write(appendFrame(nil, f.op, id, f.payload)); err != nil {
+		if _, err := nc.Write(AppendFrame(nil, f.op, id, f.payload)); err != nil {
 			t.Fatalf("op %#x: write: %v", f.op, err)
 		}
 		nc.SetReadDeadline(time.Now().Add(time.Second))
-		typ, gotID, payload, err := readFrame(nc, DefaultMaxFrame)
+		typ, gotID, payload, err := ReadFrame(nc, DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("op %#x: no reply within 1s: %v", f.op, err)
 		}
@@ -346,7 +346,7 @@ func TestConnDeathCancelsHandlers(t *testing.T) {
 
 	// Heavy and deadline-free: nothing but cancellation bounds it.
 	req := EncodeReconcileReq(0, 7, 1.5, testKeys(400_000, 1), testKeys(400_000, 2))
-	if _, err := nc.Write(appendFrame(nil, OpReconcile, 3, req)); err != nil {
+	if _, err := nc.Write(AppendFrame(nil, OpReconcile, 3, req)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 
@@ -392,7 +392,7 @@ func TestDrainSendsGoAwayAndAnswersShuttingDown(t *testing.T) {
 	// One round trip first: dialRaw returns once the kernel has queued
 	// the connection, and a Shutdown that beats the accept loop to it
 	// refuses it at the door (GOAWAY, then close) instead of serving it.
-	nc.Write(appendFrame(nil, OpLookup, 1, EncodeLookupReq(0, []uint64{1})))
+	nc.Write(AppendFrame(nil, OpLookup, 1, EncodeLookupReq(0, []uint64{1})))
 	if _, id, _ := readReply(t, nc); id != 1 {
 		t.Fatalf("warm-up reply id=%d, want 1", id)
 	}
@@ -419,7 +419,7 @@ func TestDrainSendsGoAwayAndAnswersShuttingDown(t *testing.T) {
 
 	// The idle conn gets its GOAWAY while the drain waits on the job.
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, id, _, ferr := readFrame(nc, DefaultMaxFrame)
+	typ, id, _, ferr := ReadFrame(nc, DefaultMaxFrame)
 	if ferr != nil {
 		t.Fatalf("reading GOAWAY: %v", ferr)
 	}
@@ -428,7 +428,7 @@ func TestDrainSendsGoAwayAndAnswersShuttingDown(t *testing.T) {
 	}
 
 	// A request arriving mid-drain is refused with a typed reply.
-	nc.Write(appendFrame(nil, OpLookup, 5, EncodeLookupReq(0, []uint64{1})))
+	nc.Write(AppendFrame(nil, OpLookup, 5, EncodeLookupReq(0, []uint64{1})))
 	typ, id, payload := readReply(t, nc)
 	if typ != TypeError || id != 5 {
 		t.Fatalf("mid-drain reply typ=%#x id=%d, want ERROR id=5", typ, id)

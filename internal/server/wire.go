@@ -1,16 +1,51 @@
 package server
 
-// Exported request encoders and reply parsers — the surface the
-// companion client package (and any other in-tree caller speaking the
-// protocol) builds on. They are thin names over the package's internal
+// Exported frame codec, request encoders and reply parsers — the
+// surface the companion client package (and any other in-tree caller
+// speaking the protocol) builds on. They are thin names over the package's internal
 // codec, so the client and server can never drift apart on the wire
 // format: both sides compile against the same byte layouts.
 
 import (
+	"encoding/binary"
+	"fmt"
+	"io"
 	"time"
 
 	"repro"
 )
+
+// ReadFrame reads one frame from r, bounding the length prefix by
+// maxFrame before allocating the payload. Protocol violations are
+// reported as ErrProtocol wrappers; io errors pass through.
+func ReadFrame(r io.Reader, maxFrame int) (typ byte, id uint64, payload []byte, err error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	length := int(binary.LittleEndian.Uint32(hdr[:]))
+	if length < frameOverhead {
+		return 0, 0, nil, fmt.Errorf("%w: frame length %d below header size", ErrProtocol, length)
+	}
+	if length > maxFrame {
+		return 0, 0, nil, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrProtocol, length, maxFrame)
+	}
+	body := make([]byte, length)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, 0, nil, err
+	}
+	return body[0], binary.LittleEndian.Uint64(body[1:9]), body[9:], nil
+}
+
+// AppendFrame appends one encoded frame to buf and returns it — the
+// frame is built contiguously so the writer can hand the kernel a
+// single Write (no torn frame on a clean path).
+func AppendFrame(buf []byte, typ byte, id uint64, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameOverhead+len(payload)))
+	buf = append(buf, typ)
+	buf = binary.LittleEndian.AppendUint64(buf, id)
+	return append(buf, payload...)
+}
 
 // DeadlineMs converts a remaining-time duration into the wire's uint32
 // relative-deadline field: milliseconds rounded up, clamped to at least

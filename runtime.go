@@ -165,22 +165,26 @@ func (p Policy) Reconcile(ctx context.Context, local, remote []uint64, seed uint
 // seed; duplicate-key errors, cancellations, and panics are returned
 // as-is.
 func (p Policy) BuildMPHF(ctx context.Context, keys []uint64, seed uint64, pool *parallel.Pool) (*MPHF, error) {
-	s := seed
-	for attempt := 0; ; attempt++ {
-		f, err := mphf.BuildCtx(ctx, keys, mphf.DefaultGamma, s, 10, pool)
-		if err == nil || attempt >= p.BuildRetries || !errors.Is(err, mphf.ErrBuildFailed) {
-			return f, err
-		}
-		s = escalateSeed(seed, attempt+1)
-	}
+	return retryBuild(p, seed, mphf.ErrBuildFailed, func(s uint64) (*MPHF, error) {
+		return mphf.BuildCtx(ctx, keys, mphf.DefaultGamma, s, 10, pool)
+	})
 }
 
 // BuildStaticMap is Policy.BuildMPHF for static-map (Bloomier) builds.
 func (p Policy) BuildStaticMap(ctx context.Context, keys, values []uint64, seed uint64, pool *parallel.Pool) (*StaticMap, error) {
+	return retryBuild(p, seed, bloomier.ErrBuildFailed, func(s uint64) (*StaticMap, error) {
+		return bloomier.BuildCtx(ctx, keys, values, bloomier.DefaultGamma, s, 10, pool)
+	})
+}
+
+// retryBuild is the seed-escalating loop behind Policy.BuildMPHF and
+// Policy.BuildStaticMap: it retries build up to p.BuildRetries times
+// while its error matches failed, each retry under escalateSeed.
+func retryBuild[T any](p Policy, seed uint64, failed error, build func(seed uint64) (T, error)) (T, error) {
 	s := seed
 	for attempt := 0; ; attempt++ {
-		f, err := bloomier.BuildCtx(ctx, keys, values, bloomier.DefaultGamma, s, 10, pool)
-		if err == nil || attempt >= p.BuildRetries || !errors.Is(err, bloomier.ErrBuildFailed) {
+		f, err := build(s)
+		if err == nil || attempt >= p.BuildRetries || !errors.Is(err, failed) {
 			return f, err
 		}
 		s = escalateSeed(seed, attempt+1)
@@ -348,49 +352,30 @@ func (rt *Runtime) Stats() RuntimeStats {
 	}
 }
 
-// admit reserves a job slot, blocking while the MaxJobs bound is reached
-// (admission respects ctx) and failing with ErrRuntimeClosed once
-// Shutdown has begun.
-func (rt *Runtime) admit(ctx context.Context) error {
+// admit reserves a job slot, failing with ErrRuntimeClosed once
+// Shutdown has begun. While the MaxJobs bound is reached it blocks
+// (respecting ctx), or with shed set fails immediately with
+// ErrOverloaded (counted in Stats().JobsShed) instead of waiting for a
+// slot.
+func (rt *Runtime) admit(ctx context.Context, shed bool) error {
 	rc := rt.core
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if rc.sem != nil {
-		select {
-		case rc.sem <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	rc.mu.Lock()
-	if rc.closed {
-		rc.mu.Unlock()
-		if rc.sem != nil {
-			<-rc.sem
-		}
-		rc.pool.NoteRejected()
-		return ErrRuntimeClosed
-	}
-	rc.active++
-	rc.mu.Unlock()
-	return nil
-}
-
-// tryAdmit is admit with shed-instead-of-block semantics: when the
-// MaxJobs bound is saturated it fails immediately with ErrOverloaded
-// (counted in Stats().JobsShed) rather than waiting for a slot.
-func (rt *Runtime) tryAdmit(ctx context.Context) error {
-	rc := rt.core
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if rc.sem != nil {
-		select {
-		case rc.sem <- struct{}{}:
-		default:
-			rc.pool.NoteShed()
-			return ErrOverloaded
+		if shed {
+			select {
+			case rc.sem <- struct{}{}:
+			default:
+				rc.pool.NoteShed()
+				return ErrOverloaded
+			}
+		} else {
+			select {
+			case rc.sem <- struct{}{}:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
 	}
 	rc.mu.Lock()
@@ -429,7 +414,7 @@ func (rt *Runtime) finish() {
 func (rt *Runtime) runJob(ctx context.Context, job func(ctx context.Context, pool *parallel.Pool) error) error {
 	ctx, cancel := rt.policy.applyTimeout(ctx)
 	defer cancel()
-	if err := rt.admit(ctx); err != nil {
+	if err := rt.admit(ctx, false); err != nil {
 		return err
 	}
 	defer rt.finish()
@@ -495,24 +480,7 @@ func (rt *Runtime) execute(ctx context.Context, job func(ctx context.Context, po
 //	    ...
 //	})
 func (rt *Runtime) Go(ctx context.Context, job func(ctx context.Context, pool *WorkerPool) error) (wait func() error, err error) {
-	ctx, cancel := rt.policy.applyTimeout(ctx)
-	if err := rt.admit(ctx); err != nil {
-		cancel()
-		return nil, err
-	}
-	errc := make(chan error, 1)
-	//peelvet:allow nospawn -- this is Runtime.Go itself: the job is already admitted, registered with the pool via execute (drain accounting), and panic-isolated at the job boundary
-	go func() {
-		defer cancel()
-		defer rt.finish()
-		errc <- rt.execute(ctx, job)
-	}()
-	var once sync.Once
-	var res error
-	return func() error {
-		once.Do(func() { res = <-errc })
-		return res
-	}, nil
+	return rt.spawn(ctx, false, job)
 }
 
 // TryGo is Go with load shedding instead of queueing: admission never
@@ -525,13 +493,19 @@ func (rt *Runtime) Go(ctx context.Context, job func(ctx context.Context, pool *W
 // other semantics (panic isolation, drain accounting, the wait
 // function) match Go.
 func (rt *Runtime) TryGo(ctx context.Context, job func(ctx context.Context, pool *WorkerPool) error) (wait func() error, err error) {
+	return rt.spawn(ctx, true, job)
+}
+
+// spawn is the body of Go and TryGo: it admits job (shedding instead of
+// blocking when shed is set) and runs it on its own goroutine.
+func (rt *Runtime) spawn(ctx context.Context, shed bool, job func(ctx context.Context, pool *WorkerPool) error) (wait func() error, err error) {
 	ctx, cancel := rt.policy.applyTimeout(ctx)
-	if err := rt.tryAdmit(ctx); err != nil {
+	if err := rt.admit(ctx, shed); err != nil {
 		cancel()
 		return nil, err
 	}
 	errc := make(chan error, 1)
-	//peelvet:allow nospawn -- this is TryGo, Runtime.Go's shedding twin: the job is already admitted, registered with the pool via execute (drain accounting), and panic-isolated at the job boundary
+	//peelvet:allow nospawn -- this is Runtime.Go/TryGo itself: the job is already admitted, registered with the pool via execute (drain accounting), and panic-isolated at the job boundary
 	go func() {
 		defer cancel()
 		defer rt.finish()
